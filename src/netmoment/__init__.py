@@ -20,10 +20,8 @@ from .motif import (
     moment_u,
     moment_u_bruteforce,
     motif_by_name,
-    node_moment,
-    pair_moment,
 )
-from .projections import DegenerateGraphError, ProjectionSet, g2, grho2, project
+from .projections import DegenerateGraphError, ProjectionSet, project
 from .edgeworth import (
     EdgeworthCoeffs,
     NetworkSummary,
@@ -53,13 +51,9 @@ __all__ = [
     "contains_motif",
     "moment_u",
     "moment_u_bruteforce",
-    "node_moment",
-    "pair_moment",
     "ProjectionSet",
     "DegenerateGraphError",
     "project",
-    "g2",
-    "grho2",
     "NetworkSummary",
     "EdgeworthCoeffs",
     "summarize",

@@ -89,16 +89,11 @@ def _emit(payload, fmt: str) -> None:
     sys.stdout.write(buf.getvalue())
 
 
-def _load_graph(path, indexing):
-    # the loader logs its report; basicConfig routes it to stderr
-    return load_edge_list(path, indexing=indexing)
-
-
 def _cmd_hash(args) -> int:
     seed = _resolve_seed(args)
     print(f"seed: {seed}", file=sys.stderr)
     motifs = _parse_motifs(args.motifs)
-    g = _load_graph(args.input, args.indexing)
+    g = load_edge_list(args.input, indexing=args.indexing)
     record = hash_network(g, motifs, args.id)
     for motif in motifs:
         if motif.name in record.summaries:
@@ -123,7 +118,7 @@ def _cmd_query(args) -> int:
     print(f"seed: {seed}", file=sys.stderr)
     motifs = _parse_motifs(args.motif)
     db = db_load(args.db)
-    g = _load_graph(args.keyword, args.indexing)
+    g = load_edge_list(args.keyword, indexing=args.indexing)
     keyword_rec = hash_network(g, motifs, args.keyword_id)
     # querying consumes only summary records from here on
     per_motif = {
@@ -172,14 +167,21 @@ def _cmd_query(args) -> int:
     return 0
 
 
-def _cmd_test(args) -> int:
+def _summarize_pair(args):
+    """Resolve the seed, then load and summarize the --a and --b edge lists."""
     seed = _resolve_seed(args)
     print(f"seed: {seed}", file=sys.stderr)
     motif = motif_by_name(args.motif)
-    ga = _load_graph(args.a, args.indexing)
-    gb = _load_graph(args.b, args.indexing)
+    # the loader logs its report; basicConfig routes it to stderr
+    ga = load_edge_list(args.a, indexing=args.indexing)
+    gb = load_edge_list(args.b, indexing=args.indexing)
     sa = summarize(ga, motif, network_id=str(args.a))
     sb = summarize(gb, motif, network_id=str(args.b))
+    return seed, sa, sb
+
+
+def _cmd_test(args) -> int:
+    seed, sa, sb = _summarize_pair(args)
     rng = spawn_rng(seed, "cli-test")
     result = two_sample_test(sa, sb, level=args.alpha, c_delta=args.c_delta, rng=rng)
     _emit(result.as_record(sa, sb, seed=seed), args.format)
@@ -187,19 +189,13 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_ci(args) -> int:
-    seed = _resolve_seed(args)
-    print(f"seed: {seed}", file=sys.stderr)
-    motif = motif_by_name(args.motif)
-    ga = _load_graph(args.a, args.indexing)
-    gb = _load_graph(args.b, args.indexing)
-    sa = summarize(ga, motif, network_id=str(args.a))
-    sb = summarize(gb, motif, network_id=str(args.b))
+    seed, sa, sb = _summarize_pair(args)
     rng = spawn_rng(seed, "cli-ci")
     lo, hi = confidence_interval(sa, sb, level=args.level,
                                  c_delta=args.c_delta, rng=rng)
     _emit(
         {
-            "motif": motif.name,
+            "motif": sa.motif_name,
             "m": sa.n,
             "n": sb.n,
             "level": args.level,
@@ -248,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--indexing", choices=("zero-based", "one-based"),
                        default="zero-based")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker processes for inner parallelism (default: cores)")
+                       help="worker processes for `simulate` (default: cores); "
+                            "the other commands accept and ignore it")
         if with_cdelta:
             p.add_argument("--c-delta", dest="c_delta", type=float, default=0.01,
                            help="smoothing noise constant (0 disables)")

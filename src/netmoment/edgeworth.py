@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -56,6 +56,20 @@ def norm_quantile(alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"quantile level must be in (0,1), got {alpha}")
     return float(ndtri(alpha))
+
+
+# the nine float fields of NetworkSummary, in declaration order
+SUMMARY_FIELDS = (
+    "rho_hat",
+    "u_hat",
+    "alpha0_hat",
+    "xi_g1_sq",
+    "xi_alpha1_sq",
+    "e_a1_cubed",
+    "e_a1_a3",
+    "e_a4_a1",
+    "e_a1a1a2",
+)
 
 
 @dataclass(frozen=True)
@@ -96,8 +110,8 @@ class NetworkSummary:
             raise ValueError("variance fields must be nonnegative")
         if self.n < self.motif_r + 1:
             raise ValueError(f"n={self.n} too small for motif r={self.motif_r}")
-        for name, value in asdict(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
+        for name in SUMMARY_FIELDS:
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"non-finite summary field {name}")
 
 

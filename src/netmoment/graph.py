@@ -80,6 +80,8 @@ class Graph:
         """Build a graph from an iterable of (i, j) pairs on nodes 0..m-1."""
         adj = np.zeros((m, m), dtype=bool)
         for i, j in edges:
+            if not (0 <= i < m and 0 <= j < m):
+                raise ValueError(f"edge ({i}, {j}) has a node id outside 0..{m - 1}")
             if i == j:
                 continue
             adj[i, j] = True

@@ -20,7 +20,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 
-from .edgeworth import NetworkSummary, summarize
+from .edgeworth import SUMMARY_FIELDS, NetworkSummary, summarize
 from .graph import Graph
 from .inference import two_sample_test
 from .motif import Motif
@@ -29,19 +29,6 @@ from .rng import spawn_rng
 logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
-
-_SUMMARY_FIELDS = (
-    "rho_hat",
-    "u_hat",
-    "alpha0_hat",
-    "xi_g1_sq",
-    "xi_alpha1_sq",
-    "e_a1_cubed",
-    "e_a1_a3",
-    "e_a4_a1",
-    "e_a1a1a2",
-)
-
 
 class DbFormatError(ValueError):
     """Raised for malformed or unsupported database content."""
@@ -133,7 +120,7 @@ def hash_network(g: Graph, motifs: list[Motif], network_id: str) -> HashRecord:
 
 def _summary_to_dict(s: NetworkSummary) -> dict:
     d = {"motif": s.motif_descriptor()}
-    for name in _SUMMARY_FIELDS:
+    for name in SUMMARY_FIELDS:
         d[name] = getattr(s, name)
     return d
 
@@ -141,7 +128,7 @@ def _summary_to_dict(s: NetworkSummary) -> dict:
 def _summary_from_dict(d: dict, network_id: str, n: int) -> NetworkSummary:
     try:
         motif = d["motif"]
-        kwargs = {name: float(d[name]) for name in _SUMMARY_FIELDS}
+        kwargs = {name: float(d[name]) for name in SUMMARY_FIELDS}
         return NetworkSummary(
             network_id=network_id,
             n=n,
@@ -194,15 +181,18 @@ def record_from_json(line: str) -> HashRecord:
 
 
 def db_append(path, record: HashRecord) -> None:
-    """Append one record to the NDJSON store."""
+    """Append one record to the NDJSON store, line and newline in one write."""
     record.validate()
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(record_to_json(record))
-        fh.write("\n")
+        fh.write(record_to_json(record) + "\n")
 
 
 def db_load(path) -> HashDb:
-    """Load and validate a store; later duplicates of a network_id win."""
+    """Load and validate a store; later duplicates of a network_id win.
+
+    A bad line raises DbFormatError, except a final line without its newline:
+    that is an append cut short, so it is skipped with a warning.
+    """
     records: dict[str, HashRecord] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -211,6 +201,11 @@ def db_load(path) -> HashDb:
             try:
                 record = record_from_json(line)
             except DbFormatError as exc:
+                # only the last line of a file can lack its newline
+                if not line.endswith("\n"):
+                    logger.warning("%s: line %d: skipping torn final record: %s",
+                                   path, lineno, exc)
+                    break
                 raise DbFormatError(f"{path}: line {lineno}: {exc}") from exc
             if record.network_id in records:
                 logger.warning(

@@ -131,6 +131,11 @@ def confidence_interval(
             f"quantile crossing: q({alpha/2:.4g})={q_lo:.6g} >= "
             f"q({1-alpha/2:.4g})={q_hi:.6g}; expansion coefficients too large"
         )
-    lo = d_hat - (q_hi - delta_t) * coeffs.S
-    hi = d_hat - (q_lo - delta_t) * coeffs.S
-    return lo, hi
+    return interval_from_quantiles(d_hat, coeffs.S, delta_t, q_lo, q_hi)
+
+
+def interval_from_quantiles(
+    d_hat: float, s_hat: float, delta_t: float, q_lo: float, q_hi: float
+) -> tuple[float, float]:
+    """Interval endpoints (D - (q_hi - delta) S, D - (q_lo - delta) S)."""
+    return d_hat - (q_hi - delta_t) * s_hat, d_hat - (q_lo - delta_t) * s_hat

@@ -135,38 +135,6 @@ def contains_motif(sub: np.ndarray, motif: Motif) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# Specialized counting for the built-in motifs.
-#
-# All counts are assembled from A @ A on a 0/1 float matrix: every partial
-# product is 0 or 1 and every partial sum stays below 2^53, so the result is
-# exact integer arithmetic in float64 regardless of BLAS blocking order.
-# ---------------------------------------------------------------------------
-
-
-def _common_neighbors(g: Graph) -> np.ndarray:
-    a = g.adj.astype(np.float64)
-    return a @ a
-
-
-def _triangle_stats(g: Graph):
-    """Per-pair common-neighbor counts, per-node and total triangle counts."""
-    n2 = _common_neighbors(g)
-    a = g.adj
-    per_node = (n2 * a).sum(axis=1) / 2.0
-    total = per_node.sum() / 3.0
-    return n2, per_node, total
-
-
-def _vshape_node_counts(g: Graph, tri_per_node: np.ndarray) -> np.ndarray:
-    # cherries through i: pairs of i's neighbors plus paths centered at a
-    # neighbor; subtract twice the triangles to fix the >=2-edge overcount
-    d = g.degrees.astype(np.float64)
-    a = g.adj.astype(np.float64)
-    cherries = d * (d - 1) / 2.0 + a @ (d - 1)
-    return cherries - 2.0 * tri_per_node
-
-
 @dataclass(frozen=True)
 class MomentCensus:
     """One pass of whole-graph / per-node / per-pair restricted averages."""
@@ -188,30 +156,37 @@ def moment_census(g: Graph, motif: Motif, want_pairs: bool = False) -> MomentCen
     node_denom = comb(m - 1, motif.r - 1)
     pair_denom = comb(m - 2, motif.r - 2)
     a = g.adj.astype(np.float64)
+    if motif.name in ("triangle", "vshape"):
+        # A @ A on a 0/1 float matrix: every partial product is 0 or 1 and
+        # every partial sum stays below 2^53, so the counts are exact integers
+        # in float64 regardless of BLAS blocking order
+        n2 = a @ a  # common neighbours per pair
+        tri_per_node = (n2 * g.adj).sum(axis=1) / 2.0
+        tri_total = tri_per_node.sum() / 3.0
     if motif.name == "edge":
         u_hat = density(g)
         node_avgs = g.degrees / float(m - 1)
         pair_avgs = a.copy() if want_pairs else None
     elif motif.name == "triangle":
-        n2, per_node, total = _triangle_stats(g)
-        u_hat = float(total) / comb(m, 3)
-        node_avgs = per_node / node_denom
+        u_hat = float(tri_total) / comb(m, 3)
+        node_avgs = tri_per_node / node_denom
         pair_avgs = (a * n2 / pair_denom) if want_pairs else None
     elif motif.name == "vshape":
-        n2, tri_per_node, tri_total = _triangle_stats(g)
         d = g.degrees.astype(np.float64)
-        hits = (d * (d - 1) / 2.0).sum() - 2.0 * tri_total
+        centred = d * (d - 1) / 2.0  # vshapes centred at each node
+        hits = centred.sum() - 2.0 * tri_total
         u_hat = float(hits) / comb(m, 3)
-        node_avgs = _vshape_node_counts(g, tri_per_node) / node_denom
+        # cherries through i: pairs of i's neighbours plus paths centred at a
+        # neighbour; subtract twice the triangles to fix the >=2-edge overcount
+        cherries = centred + a @ (d - 1)
+        node_avgs = (cherries - 2.0 * tri_per_node) / node_denom
         if want_pairs:
             with_edge = d[:, None] + d[None, :] - 2.0 - n2
             pair_avgs = np.where(g.adj, with_edge, n2) / pair_denom
         else:
             pair_avgs = None
     else:
-        total, node_counts, pair_counts = _subset_census(
-            g, motif, want_nodes=True, want_pairs=want_pairs
-        )
+        total, node_counts, pair_counts = _subset_census(g, motif, want_pairs)
         u_hat = total / comb(m, motif.r)
         node_avgs = node_counts / node_denom
         pair_avgs = pair_counts / pair_denom if want_pairs else None
@@ -222,21 +197,7 @@ def moment_census(g: Graph, motif: Motif, want_pairs: bool = False) -> MomentCen
 
 def moment_u(g: Graph, motif: Motif) -> float:
     """Whole-graph moment: fraction of r-subsets whose subgraph contains the motif."""
-    m = g.m
-    if m < motif.r:
-        raise ValueError(f"graph has m={m} < r={motif.r} nodes")
-    if motif.name == "edge":
-        return density(g)
-    if motif.name == "triangle":
-        _, _, total = _triangle_stats(g)
-        return float(total) / comb(m, 3)
-    if motif.name == "vshape":
-        d = g.degrees.astype(np.float64)
-        _, _, tri_total = _triangle_stats(g)
-        hits = (d * (d - 1) / 2.0).sum() - 2.0 * tri_total
-        return float(hits) / comb(m, 3)
-    total, _, _ = _subset_census(g, motif, want_nodes=False, want_pairs=False)
-    return total / comb(m, motif.r)
+    return moment_census(g, motif).u_hat
 
 
 def moment_u_bruteforce(g: Graph, motif: Motif) -> float:
@@ -255,34 +216,7 @@ def moment_u_bruteforce(g: Graph, motif: Motif) -> float:
     return hits / n_subsets
 
 
-def node_moment_vector(g: Graph, motif: Motif) -> np.ndarray:
-    """All per-node restricted averages a_i in one pass."""
-    return moment_census(g, motif, want_pairs=False).node_avgs
-
-
-def node_moment(g: Graph, motif: Motif, i: int) -> float:
-    """Average of h over the r-subsets containing node i."""
-    if not 0 <= i < g.m:
-        raise ValueError(f"node {i} out of range for m={g.m}")
-    return float(node_moment_vector(g, motif)[i])
-
-
-def pair_moment_matrix(g: Graph, motif: Motif) -> np.ndarray:
-    """All per-pair restricted averages as a symmetric matrix (diagonal zeroed)."""
-    return moment_census(g, motif, want_pairs=True).pair_avgs
-
-
-def pair_moment(g: Graph, motif: Motif, i1: int, i2: int) -> float:
-    """Average of h over the r-subsets containing both i1 and i2."""
-    if i1 == i2:
-        raise ValueError("pair moment needs two distinct nodes")
-    for i in (i1, i2):
-        if not 0 <= i < g.m:
-            raise ValueError(f"node {i} out of range for m={g.m}")
-    return float(pair_moment_matrix(g, motif)[i1, i2])
-
-
-def _subset_census(g: Graph, motif: Motif, want_nodes: bool, want_pairs: bool):
+def _subset_census(g: Graph, motif: Motif, want_pairs: bool):
     """Generic path: one sweep over all C(m, r) subsets.
 
     Costs C(m, r) contains_motif calls; intended for custom motifs (r <= 5)
@@ -291,7 +225,7 @@ def _subset_census(g: Graph, motif: Motif, want_nodes: bool, want_pairs: bool):
     m = g.m
     adj = g.adj
     total = 0.0
-    node_counts = np.zeros(m) if want_nodes else None
+    node_counts = np.zeros(m)
     pair_counts = np.zeros((m, m)) if want_pairs else None
     for combo in itertools.combinations(range(m), motif.r):
         sub = adj[np.ix_(combo, combo)]
@@ -299,9 +233,8 @@ def _subset_census(g: Graph, motif: Motif, want_nodes: bool, want_pairs: bool):
         if not h:
             continue
         total += 1.0
-        if want_nodes:
-            for i in combo:
-                node_counts[i] += 1.0
+        for i in combo:
+            node_counts[i] += 1.0
         if want_pairs:
             for i, j in itertools.combinations(combo, 2):
                 pair_counts[i, j] += 1.0

@@ -8,8 +8,8 @@ For one network the first-order projections are
 with variance/covariance scalars taken as plain means of their products.
 Second-order values subtract both first-order terms and the grand mean from
 the pair-restricted averages; they are never stored per ProjectionSet but
-recomputed on demand (scalar API here, full matrices inside the summary
-builder where they are consumed as a whole).
+built as full matrices inside the summary builder, which reduces them at
+once.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph, density
-from .motif import Motif, MomentCensus, moment_census, pair_moment
+from .motif import Motif, MomentCensus, moment_census
 
 
 class DegenerateGraphError(ValueError):
@@ -66,26 +66,6 @@ def project(g: Graph, motif: Motif, _census: MomentCensus | None = None) -> Proj
         xi_A1_sq=float(np.mean(g1 * g1)),
         xi_rhoA1_sq=float(np.mean(grho1 * grho1)),
         xi_cross=float(np.mean(g1 * grho1)),
-    )
-
-
-def g2(g: Graph, motif: Motif, ps: ProjectionSet, i1: int, i2: int) -> float:
-    """Second-order moment projection for one node pair."""
-    if i1 == i2:
-        raise ValueError("g2 needs two distinct nodes")
-    pm = pair_moment(g, motif, i1, i2)
-    # first-order terms grouped so evaluation is exactly argument-symmetric
-    return pm - (float(ps.g1[i1]) + float(ps.g1[i2])) - ps.u_hat
-
-
-def grho2(g: Graph, ps: ProjectionSet, i1: int, i2: int) -> float:
-    """Second-order density projection for one node pair."""
-    if i1 == i2:
-        raise ValueError("grho2 needs two distinct nodes")
-    return (
-        float(g.adj[i1, i2])
-        - (float(ps.grho1[i1]) + float(ps.grho1[i2]))
-        - ps.rho_hat
     )
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .. import __version__ as _pkg_version
 from ..edgeworth import EdgeworthCoeffs, combine, cornish_fisher, norm_cdf, smoothing_noise, summarize
 from ..hashdb import HashDb, HashRecord, hash_network, query
-from ..inference import scaled_discrepancy, two_sample_test
+from ..inference import interval_from_quantiles, scaled_discrepancy, two_sample_test
 from ..motif import Motif, motif_from_spec
 from ..projections import DegenerateGraphError
 from ..rng import spawn_rng
@@ -77,19 +77,37 @@ def _resolve_jobs(n_jobs) -> int:
 _CHUNK = 256  # fixed replicate chunk so reductions are worker-count independent
 
 
-def _chunks(total: int, n_jobs: int) -> list[tuple[int, int]]:
-    if total <= 0:
-        return []
-    return [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
+def _chunks(total: int) -> list[tuple[int, int]]:
+    # an empty run is one empty chunk, so every reduction has a first part
+    return [(lo, min(lo + _CHUNK, total)) for lo in range(0, max(total, 1), _CHUNK)]
 
 
-def _run_chunked(worker, args_list, n_jobs: int):
-    """Run worker(*args) for each args tuple, in order, optionally in a pool."""
+def _merge(acc, part):
+    if isinstance(acc, dict):
+        for key, val in part.items():
+            acc[key] = acc[key] + val if key in acc else val
+        return acc
+    return acc + part
+
+
+def _map_reduce(worker, args_list, n_jobs: int) -> list:
+    """Run worker(*args) per chunk, optionally in a pool, and fold the results.
+
+    Each worker returns a tuple; the tuples are folded left, field by field,
+    in chunk-index order: lists concatenate, dicts add per key, numbers and
+    arrays add. Every float total is therefore the same left-to-right sum
+    for any worker count.
+    """
     if n_jobs <= 1 or len(args_list) <= 1:
-        return [worker(*args) for args in args_list]
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        futures = [pool.submit(worker, *args) for args in args_list]
-        return [f.result() for f in futures]
+        parts = [worker(*args) for args in args_list]
+    else:
+        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+            futures = [pool.submit(worker, *args) for args in args_list]
+            parts = [f.result() for f in futures]
+    total = list(parts[0])
+    for part in parts[1:]:
+        total = [_merge(acc, val) for acc, val in zip(total, part)]
+    return total
 
 
 def _centering(cfg, graphon_name: str, rho: float, motif: Motif, side: str) -> float:
@@ -181,12 +199,10 @@ def run_cdf_experiment(cfg: CdfConfig) -> SimResult:
     total_clamps = 0
     total_skipped = 0
     for m, n in cfg.sizes:
-        chunk_args = [(cfg, m, n, d_true, lo, hi) for lo, hi in _chunks(cfg.reps, n_jobs)]
-        parts = _run_chunked(_cdf_chunk, chunk_args, n_jobs)
-        t_values = np.concatenate([np.asarray(p[0]) for p in parts]) if parts else np.array([])
-        g_sum = sum((p[1] for p in parts), np.zeros_like(grid))
-        skipped = sum(p[2] for p in parts)
-        total_clamps += sum(p[3] for p in parts)
+        chunk_args = [(cfg, m, n, d_true, lo, hi) for lo, hi in _chunks(cfg.reps)]
+        t_values, g_sum, skipped, clamps = _map_reduce(_cdf_chunk, chunk_args, n_jobs)
+        t_values = np.asarray(t_values, dtype=np.float64)
+        total_clamps += clamps
         total_skipped += skipped
         used = len(t_values)
         if used == 0:
@@ -261,15 +277,13 @@ class CoverageConfig:
     n_jobs: int | None = None
 
     def __post_init__(self):
+        if self.reps < 1:
+            raise ValueError("coverage experiment needs reps >= 1")
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must be in (0,1)")
         bad = set(self.methods) - {"edgeworth", "normal", "subsample", "resample"}
         if bad:
             raise ValueError(f"unknown coverage methods {sorted(bad)}")
-
-
-def _ci_from_quantiles(d_hat, s_hat, delta, q_lo, q_hi):
-    return d_hat - (q_hi - delta) * s_hat, d_hat - (q_lo - delta) * s_hat
 
 
 def _coverage_chunk(cfg: CoverageConfig, m: int, n: int, d_true: dict, lo: int, hi: int):
@@ -320,7 +334,7 @@ def _coverage_chunk(cfg: CoverageConfig, m: int, n: int, d_true: dict, lo: int, 
                     q_lo, q_hi = np.quantile(boot.values, [alpha / 2.0, 1.0 - alpha / 2.0])
                 if q_lo >= q_hi:
                     continue
-                lo_end, hi_end = _ci_from_quantiles(d_hat, coeffs.S, delta, q_lo, q_hi)
+                lo_end, hi_end = interval_from_quantiles(d_hat, coeffs.S, delta, q_lo, q_hi)
                 covered[(mo.name, meth)] += int(lo_end < target < hi_end)
                 lengths[(mo.name, meth)] += hi_end - lo_end
     return covered, lengths, used, skipped, clamps
@@ -338,22 +352,11 @@ def run_coverage_experiment(cfg: CoverageConfig) -> SimResult:
     rows = []
     total_clamps = 0
     for m, n in cfg.sizes:
-        chunk_args = [(cfg, m, n, d_true, lo, hi) for lo, hi in _chunks(cfg.reps, n_jobs)]
-        parts = _run_chunked(_coverage_chunk, chunk_args, n_jobs)
-        covered = {}
-        lengths = {}
-        used = {}
-        skipped = {}
-        for part in parts:
-            for key, val in part[0].items():
-                covered[key] = covered.get(key, 0) + val
-            for key, val in part[1].items():
-                lengths[key] = lengths.get(key, 0.0) + val
-            for key, val in part[2].items():
-                used[key] = used.get(key, 0) + val
-            for key, val in part[3].items():
-                skipped[key] = skipped.get(key, 0) + val
-            total_clamps += part[4]
+        chunk_args = [(cfg, m, n, d_true, lo, hi) for lo, hi in _chunks(cfg.reps)]
+        covered, lengths, used, skipped, clamps = _map_reduce(
+            _coverage_chunk, chunk_args, n_jobs
+        )
+        total_clamps += clamps
         for mo in motifs:
             for meth in cfg.methods:
                 n_used = used[mo.name]
@@ -401,6 +404,10 @@ class QueryBenchConfig:
     c_delta: float = 0.01
     seed: int = 0
     n_jobs: int | None = None
+
+    def __post_init__(self):
+        if self.null_pairs < 0:
+            raise ValueError("null_pairs must be >= 0")
 
 
 def _hash_entry_chunk(cfg: QueryBenchConfig, tasks: tuple):
@@ -482,18 +489,13 @@ def run_query_benchmark(cfg: QueryBenchConfig) -> SimResult:
     """Hash a synthetic multi-graphon database and score keyword queries."""
     n_jobs = _resolve_jobs(cfg.n_jobs)
     tasks = [(g, k) for g in cfg.graphons for k in range(cfg.entries_per_graphon)]
-    chunk_args = [
-        (cfg, tuple(tasks[lo:hi])) for lo, hi in _chunks(len(tasks), n_jobs)
-    ]
-    parts = _run_chunked(_hash_entry_chunk, chunk_args, n_jobs)
+    chunk_args = [(cfg, tuple(tasks[lo:hi])) for lo, hi in _chunks(len(tasks))]
+    recs, total_clamps = _map_reduce(_hash_entry_chunk, chunk_args, n_jobs)
     entry_graphon: dict[str, str] = {}
     records: dict[str, HashRecord] = {}
-    total_clamps = 0
-    for recs, clamps in parts:
-        total_clamps += clamps
-        for gname, rec in recs:
-            entry_graphon[rec.network_id] = gname
-            records[rec.network_id] = rec
+    for gname, rec in recs:
+        entry_graphon[rec.network_id] = gname
+        records[rec.network_id] = rec
     db = HashDb(records=records)
 
     rows = []
@@ -534,11 +536,10 @@ def run_query_benchmark(cfg: QueryBenchConfig) -> SimResult:
 
     null_skipped = 0
     if cfg.null_pairs:
-        chunk_args = [(cfg, lo, hi) for lo, hi in _chunks(cfg.null_pairs, n_jobs)]
-        parts = _run_chunked(_null_pair_chunk, chunk_args, n_jobs)
-        p_values = np.concatenate([np.asarray(p[0]) for p in parts])
-        null_skipped = sum(p[1] for p in parts)
-        total_clamps += sum(p[2] for p in parts)
+        chunk_args = [(cfg, lo, hi) for lo, hi in _chunks(cfg.null_pairs)]
+        p_values, null_skipped, clamps = _map_reduce(_null_pair_chunk, chunk_args, n_jobs)
+        p_values = np.asarray(p_values, dtype=np.float64)
+        total_clamps += clamps
         rows.append({
             "experiment": "query-null",
             "keyword": cfg.null_graphon,

@@ -131,6 +131,10 @@ def test_config_from_dict_validation():
         config_from_dict("cdf", {"bad_key": 1})
     with pytest.raises(ValueError):
         config_from_dict("no-such-experiment", {})
+    with pytest.raises(ValueError):
+        config_from_dict("coverage", {"reps": 0})
+    with pytest.raises(ValueError):
+        config_from_dict("query-bench", {"null_pairs": -1})
 
 
 def test_write_outputs_and_sidecar(tmp_path):

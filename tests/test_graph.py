@@ -113,6 +113,11 @@ def test_graph_validation():
     loops = np.eye(3, dtype=bool)
     with pytest.raises(ValueError):
         nm.Graph(loops)
+    # ids outside 0..m-1 must not wrap around through negative indexing
+    with pytest.raises(ValueError, match=r"\(-1, 0\)"):
+        nm.Graph.from_edges(3, [(-1, 0)])
+    with pytest.raises(ValueError, match=r"\(0, 3\)"):
+        nm.Graph.from_edges(3, [(0, 3)])
 
 
 def test_adjacency_frozen(p3):

@@ -5,6 +5,7 @@ import logging
 import pytest
 
 import netmoment as nm
+from netmoment.edgeworth import SUMMARY_FIELDS
 from netmoment.hashdb import (
     DbFormatError,
     HashDb,
@@ -87,6 +88,19 @@ def test_db_load_corrupt_line_reports_lineno(tmp_path):
     path.write_text(record_to_json(rec) + "\n{not json}\n" + record_to_json(rec) + "\n")
     with pytest.raises(DbFormatError, match="line 2"):
         nm.db_load(path)
+
+
+def test_db_load_skips_torn_final_record(tmp_path, caplog):
+    path = tmp_path / "db.ndjson"
+    rng = spawn_rng(4, "torn")
+    for i in range(3):
+        nm.db_append(path, nm.hash_network(random_graph(15, 0.5, rng), [nm.TRIANGLE], f"r{i}"))
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:2]) + lines[2][: len(lines[2]) // 2])
+    with caplog.at_level(logging.WARNING):
+        db = nm.db_load(path)
+    assert sorted(db.records) == ["r0", "r1"]
+    assert any("line 3" in r.message and str(path) in r.message for r in caplog.records)
 
 
 def test_db_load_bad_schema_version(tmp_path):
@@ -185,3 +199,12 @@ def test_summary_validation_rejects_bad_wire_data():
     bad = dataclasses.replace(s, e_a1_a3=float("nan"))
     with pytest.raises(ValueError):
         bad.validate()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", SUMMARY_FIELDS)
+def test_summary_validation_rejects_non_finite(name, value):
+    g = random_graph(15, 0.5, spawn_rng(8, "val"))
+    s = nm.hash_network(g, [nm.TRIANGLE], "v").summaries["triangle"]
+    with pytest.raises(ValueError):
+        dataclasses.replace(s, **{name: value}).validate()

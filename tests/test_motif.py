@@ -8,6 +8,7 @@ from netmoment.motif import moment_census, motif_by_name
 from netmoment.rng import spawn_rng
 
 from conftest import random_graph
+from oracles import brute_moments
 
 
 def test_builtin_shapes():
@@ -60,20 +61,18 @@ def test_edge_moment_is_density():
 
 
 def test_node_moment_examples(k3, k13):
+    node_avgs = moment_census(k3, nm.TRIANGLE).node_avgs
     for i in range(3):
-        assert nm.node_moment(k3, nm.TRIANGLE, i) == 1.0
-    assert nm.node_moment(k13, nm.VSHAPE, 0) == 1.0
-    assert nm.node_moment(k13, nm.VSHAPE, 1) == pytest.approx(2 / 3, abs=1e-15)
-    with pytest.raises(ValueError):
-        nm.node_moment(k3, nm.TRIANGLE, 3)
+        assert node_avgs[i] == 1.0
+    node_avgs = moment_census(k13, nm.VSHAPE).node_avgs
+    assert node_avgs[0] == 1.0
+    assert node_avgs[1] == pytest.approx(2 / 3, abs=1e-15)
 
 
 def test_pair_moment_examples(k3, p3, k13):
-    assert nm.pair_moment(k3, nm.TRIANGLE, 0, 1) == 1.0
-    assert nm.pair_moment(p3, nm.VSHAPE, 0, 2) == 1.0
-    assert nm.pair_moment(k13, nm.VSHAPE, 1, 2) == 0.5
-    with pytest.raises(ValueError):
-        nm.pair_moment(k3, nm.TRIANGLE, 1, 1)
+    assert moment_census(k3, nm.TRIANGLE, want_pairs=True).pair_avgs[0, 1] == 1.0
+    assert moment_census(p3, nm.VSHAPE, want_pairs=True).pair_avgs[0, 2] == 1.0
+    assert moment_census(k13, nm.VSHAPE, want_pairs=True).pair_avgs[1, 2] == 0.5
 
 
 def test_moment_requires_enough_nodes(p3):
@@ -111,6 +110,23 @@ def test_averaging_identities(m, p, seed, motif_name):
     assert np.mean(census.node_avgs) == pytest.approx(u, abs=1e-10)
     iu, ju = np.triu_indices(m, 1)
     assert np.mean(census.pair_avgs[iu, ju]) == pytest.approx(u, abs=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(4, 10),
+    p=st.floats(0.1, 0.9),
+    seed=st.integers(0, 10_000),
+    motif_name=st.sampled_from(["edge", "vshape", "triangle"]),
+)
+def test_pair_avgs_match_oracle(m, p, seed, motif_name):
+    g = random_graph(m, p, spawn_rng(seed, "pair-oracle"))
+    census = moment_census(g, motif_by_name(motif_name), want_pairs=True)
+    _, _, pair_avgs = brute_moments(g, motif_name)
+    for (i, j), want in pair_avgs.items():
+        assert census.pair_avgs[i, j] == pytest.approx(want, abs=1e-12)
+        assert census.pair_avgs[j, i] == census.pair_avgs[i, j]
+    assert not np.any(np.diagonal(census.pair_avgs))
 
 
 @settings(max_examples=30, deadline=None)
@@ -156,5 +172,5 @@ def test_custom_motif_generic_path():
     assert nm.moment_u(g, c4_motif) == pytest.approx(
         nm.moment_u_bruteforce(g, c4_motif), abs=1e-12
     )
-    vec = np.array([nm.node_moment(g, c4_motif, i) for i in range(8)])
+    vec = moment_census(g, c4_motif).node_avgs
     assert np.mean(vec) == pytest.approx(nm.moment_u(g, c4_motif), abs=1e-10)

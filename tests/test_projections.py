@@ -36,21 +36,17 @@ def test_project_empty_graph_fails(empty5):
 
 
 def test_g2_examples(k3, p3, k13):
-    assert nm.g2(k3, nm.TRIANGLE, nm.project(k3, nm.TRIANGLE), 0, 1) == 0.0
-    assert nm.g2(p3, nm.VSHAPE, nm.project(p3, nm.VSHAPE), 0, 2) == pytest.approx(0.0, abs=1e-15)
-    ps = nm.project(k13, nm.VSHAPE)
-    assert nm.g2(k13, nm.VSHAPE, ps, 1, 2) == pytest.approx(-1 / 12, abs=1e-12)
-    with pytest.raises(ValueError):
-        nm.g2(k13, nm.VSHAPE, ps, 1, 1)
+    assert g2_matrix(k3, nm.TRIANGLE, nm.project(k3, nm.TRIANGLE))[0, 1] == 0.0
+    assert g2_matrix(p3, nm.VSHAPE, nm.project(p3, nm.VSHAPE))[0, 2] == pytest.approx(0.0, abs=1e-15)
+    gm = g2_matrix(k13, nm.VSHAPE, nm.project(k13, nm.VSHAPE))
+    assert gm[1, 2] == pytest.approx(-1 / 12, abs=1e-12)
 
 
 def test_grho2_examples(p3):
-    ps = nm.project(p3, nm.EDGE)
-    assert nm.grho2(p3, ps, 0, 1) == pytest.approx(1 / 6, abs=1e-15)
-    assert nm.grho2(p3, ps, 0, 2) == pytest.approx(-1 / 3, abs=1e-15)
-    assert nm.grho2(p3, ps, 1, 0) == nm.grho2(p3, ps, 0, 1)
-    with pytest.raises(ValueError):
-        nm.grho2(p3, ps, 2, 2)
+    grm = grho2_matrix(p3, nm.project(p3, nm.EDGE))
+    assert grm[0, 1] == pytest.approx(1 / 6, abs=1e-15)
+    assert grm[0, 2] == pytest.approx(-1 / 3, abs=1e-15)
+    assert grm[1, 0] == grm[0, 1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -78,6 +74,12 @@ def test_zero_sums_and_symmetry(m, p, seed, motif_name):
 
 
 def test_pair_projection_matches_scalar_api(k13):
+    # each entry against the per-pair definition, from brute-force moments
+    u, node_avgs, pair_avgs = brute_moments(k13, "vshape")
+    g1 = [a - u for a in node_avgs]
+    rows = k13.adj.tolist()
+    rho = sum(map(sum, rows)) / 12
+    grho1 = [sum(row) / 3 - rho for row in rows]
     ps = nm.project(k13, nm.VSHAPE)
     gm = g2_matrix(k13, nm.VSHAPE, ps)
     grm = grho2_matrix(k13, ps)
@@ -85,8 +87,10 @@ def test_pair_projection_matches_scalar_api(k13):
         for j in range(4):
             if i == j:
                 continue
-            assert gm[i, j] == pytest.approx(nm.g2(k13, nm.VSHAPE, ps, i, j), abs=1e-14)
-            assert grm[i, j] == pytest.approx(nm.grho2(k13, ps, i, j), abs=1e-14)
+            pm = pair_avgs[(min(i, j), max(i, j))]
+            assert gm[i, j] == pytest.approx(pm - (g1[i] + g1[j]) - u, abs=1e-14)
+            want = float(rows[i][j]) - (grho1[i] + grho1[j]) - rho
+            assert grm[i, j] == pytest.approx(want, abs=1e-14)
 
 
 def test_edge_motif_degeneracy_exact():
