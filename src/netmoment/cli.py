@@ -4,17 +4,16 @@ Results go to stdout (JSON by default, CSV with --format csv); diagnostics,
 load reports and the resolved seed go to stderr. Every run resolves a seed
 (explicit flag, NETMOMENT_SEED, or generated and printed) so any output can
 be reproduced byte-for-byte by replaying it. Exit codes: 0 success (including
-'not found' query results), 1 data errors, 2 usage errors; data errors also
-emit a machine-readable JSON object on stderr.
+'not found' query results), 1 data errors, 2 usage errors; both kinds of error
+also emit a machine-readable JSON object on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import logging
+import math
 import os
 import secrets
 import sys
@@ -31,6 +30,7 @@ from .sim.experiments import (
     config_from_dict,
     run_experiment,
     stable_meta,
+    write_csv,
     write_outputs,
 )
 
@@ -39,6 +39,28 @@ logger = logging.getLogger("netmoment")
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose errors become UsageError (exit 2, JSON on stderr)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
+    return value
+
+
+def _nonnegative(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
 
 
 def _resolve_seed(args) -> int:
@@ -69,24 +91,12 @@ def _emit(payload, fmt: str) -> None:
         sys.stdout.write("\n")
         return
     rows = payload if isinstance(payload, list) else [payload]
-    flat = []
-    for row in rows:
-        flat.append({
-            k: (json.dumps(v, sort_keys=True, default=str)
-                if isinstance(v, (dict, list)) else v)
-            for k, v in row.items()
-        })
-    buf = io.StringIO()
-    fields = []
-    for row in flat:
-        for key in row:
-            if key not in fields:
-                fields.append(key)
-    writer = csv.DictWriter(buf, fieldnames=fields)
-    writer.writeheader()
-    for row in flat:
-        writer.writerow(row)
-    sys.stdout.write(buf.getvalue())
+    write_csv([
+        {k: (json.dumps(v, sort_keys=True, default=str)
+             if isinstance(v, (dict, list)) else v)
+         for k, v in row.items()}
+        for row in rows
+    ], sys.stdout)
 
 
 def _cmd_hash(args) -> int:
@@ -119,7 +129,7 @@ def _cmd_query(args) -> int:
     motifs = _parse_motifs(args.motif)
     db = db_load(args.db)
     g = load_edge_list(args.keyword, indexing=args.indexing)
-    keyword_rec = hash_network(g, motifs, args.keyword_id)
+    keyword_rec = hash_network(g, motifs, "keyword")
     # querying consumes only summary records from here on
     per_motif = {
         motif.name: query(keyword_rec, db, motif.name, level=args.alpha,
@@ -230,7 +240,7 @@ def _cmd_simulate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="netmoment",
         description="Moment-based two-sample network inference and hashing toolkit",
     )
@@ -247,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for `simulate` (default: cores); "
                             "the other commands accept and ignore it")
         if with_cdelta:
-            p.add_argument("--c-delta", dest="c_delta", type=float, default=0.01,
+            p.add_argument("--c-delta", dest="c_delta", type=_nonnegative, default=0.01,
                            help="smoothing noise constant (0 disables)")
 
     p = sub.add_parser("hash", help="hash a network into a summary db (offline step)")
@@ -260,10 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("query", help="rank db entries against a keyword network")
     p.add_argument("--keyword", required=True)
-    p.add_argument("--keyword-id", default="keyword")
     p.add_argument("--db", required=True)
     p.add_argument("--motif", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_probability, default=0.05)
     p.add_argument("--combine", choices=("bonferroni",), default=None)
     common(p)
     p.set_defaults(func=_cmd_query)
@@ -272,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--motif", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_probability, default=0.05)
     common(p)
     p.set_defaults(func=_cmd_test)
 
@@ -280,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--motif", required=True)
-    p.add_argument("--level", type=float, default=0.90)
+    p.add_argument("--level", type=_probability, default=0.90)
     common(p)
     p.set_defaults(func=_cmd_ci)
 
@@ -298,10 +307,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
         return args.func(args)
+    except SystemExit as exc:  # --help and --version
+        return 2 if exc.code not in (0, None) else 0
     except UsageError as exc:
         print(json.dumps({"error": str(exc), "kind": "usage"}), file=sys.stderr)
         return 2

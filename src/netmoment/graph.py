@@ -28,13 +28,6 @@ class LoadReport:
     self_loops_dropped: int = 0
     duplicates_merged: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "edges_kept": self.edges_kept,
-            "self_loops_dropped": self.self_loops_dropped,
-            "duplicates_merged": self.duplicates_merged,
-        }
-
 
 class Graph:
     """Undirected simple graph with m >= 2 nodes.

@@ -18,6 +18,7 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import logging
+import os
 from dataclasses import dataclass, field
 
 from .edgeworth import SUMMARY_FIELDS, NetworkSummary, summarize
@@ -181,10 +182,25 @@ def record_from_json(line: str) -> HashRecord:
 
 
 def db_append(path, record: HashRecord) -> None:
-    """Append one record to the NDJSON store, line and newline in one write."""
+    """Append one record to the NDJSON store, line and newline in one write.
+
+    A store that does not end in a newline ends in an append cut short: that
+    fragment is cut off, with a warning, so the new record gets its own line.
+    """
     record.validate()
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(record_to_json(record) + "\n")
+    line = (record_to_json(record) + "\n").encode("utf-8")
+    with open(path, "a+b") as fh:
+        end = fh.seek(0, os.SEEK_END)
+        if end:
+            fh.seek(end - 1)
+            if fh.read(1) != b"\n":
+                # rare recovery path, so one whole read is fine
+                fh.seek(0)
+                keep = fh.read().rfind(b"\n") + 1
+                logger.warning("%s: dropping %d bytes of a torn final record",
+                               path, end - keep)
+                fh.truncate(keep)
+        fh.write(line)
 
 
 def db_load(path) -> HashDb:

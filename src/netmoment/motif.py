@@ -7,8 +7,11 @@ contains a vshape). The whole-graph moment is the average of h over all
 C(m, r) node subsets; per-node and per-pair restricted averages feed the
 Hoeffding-style projections.
 
-Edge, vshape and triangle get closed-form O(m^3)-at-worst matrix paths; the
-generic path enumerates subsets and is meant for small custom motifs only.
+Edge, vshape and triangle get closed-form O(m^3)-at-worst matrix paths,
+chosen by shape (r, s), never by name: a connected motif on at most three
+nodes is fixed up to isomorphism by its node and edge counts. Every other
+shape takes the generic path, which enumerates subsets and is meant for small
+custom motifs only.
 The brute-force enumerator is kept as an independent oracle for the fast
 paths and is guarded against large inputs.
 """
@@ -76,9 +79,6 @@ class Motif:
     def edges(self) -> list[tuple[int, int]]:
         iu, ju = np.nonzero(np.triu(self.pattern, k=1))
         return list(zip(iu.tolist(), ju.tolist()))
-
-    def descriptor(self) -> dict:
-        return {"name": self.name, "r": self.r, "s": self.s}
 
 
 def _motif(name, edges, r):
@@ -148,30 +148,32 @@ def moment_census(g: Graph, motif: Motif, want_pairs: bool = False) -> MomentCen
     """Compute u_hat and the per-node (optionally per-pair) averages together.
 
     Sharing the common-neighbor matrix across all three levels keeps summary
-    construction at one A @ A per graph for the r=3 built-ins.
+    construction at one A @ A per graph for the r=3 closed forms. The closed
+    form is picked by the motif's shape (r, s), whatever its name.
     """
     m = g.m
     if m < motif.r:
         raise ValueError(f"graph has m={m} < r={motif.r} nodes")
     node_denom = comb(m - 1, motif.r - 1)
     pair_denom = comb(m - 2, motif.r - 2)
-    a = g.adj.astype(np.float64)
-    if motif.name in ("triangle", "vshape"):
+    shape = (motif.r, motif.s)
+    if shape in ((3, 2), (3, 3)):
+        a = g.adj.astype(np.float64)
         # A @ A on a 0/1 float matrix: every partial product is 0 or 1 and
         # every partial sum stays below 2^53, so the counts are exact integers
         # in float64 regardless of BLAS blocking order
         n2 = a @ a  # common neighbours per pair
         tri_per_node = (n2 * g.adj).sum(axis=1) / 2.0
         tri_total = tri_per_node.sum() / 3.0
-    if motif.name == "edge":
+    if motif.r == 2:  # edge
         u_hat = density(g)
         node_avgs = g.degrees / float(m - 1)
-        pair_avgs = a.copy() if want_pairs else None
-    elif motif.name == "triangle":
+        pair_avgs = g.adj.astype(np.float64) if want_pairs else None
+    elif shape == (3, 3):  # triangle
         u_hat = float(tri_total) / comb(m, 3)
         node_avgs = tri_per_node / node_denom
         pair_avgs = (a * n2 / pair_denom) if want_pairs else None
-    elif motif.name == "vshape":
+    elif shape == (3, 2):  # vshape
         d = g.degrees.astype(np.float64)
         centred = d * (d - 1) / 2.0  # vshapes centred at each node
         hits = centred.sum() - 2.0 * tri_total

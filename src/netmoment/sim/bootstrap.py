@@ -16,7 +16,7 @@ from math import floor, sqrt
 
 import numpy as np
 
-from ..edgeworth import smoothing_noise, summarize
+from ..edgeworth import combine, smoothing_noise, summarize
 from ..graph import Graph
 from ..inference import scaled_discrepancy
 from ..motif import Motif
@@ -74,10 +74,7 @@ def bootstrap_distribution(
         try:
             sa = summarize(_induced(ga, ia), motif)
             sb = summarize(_induced(gb, ib), motif)
-            s_sq = sa.xi_alpha1_sq / sa.n + sb.xi_alpha1_sq / sb.n
-            if not s_sq > 0.0:
-                raise DegenerateGraphError("zero replicate variance")
-            t_b = (scaled_discrepancy(sa, sb) - center) / np.sqrt(s_sq)
+            t_b = (scaled_discrepancy(sa, sb) - center) / combine(sa, sb).S
             t_b += smoothing_noise(sa.n, sb.n, c_delta, rng)
         except DegenerateGraphError:
             dropped += 1

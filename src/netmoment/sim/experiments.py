@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import __version__ as _pkg_version
-from ..edgeworth import EdgeworthCoeffs, combine, cornish_fisher, norm_cdf, smoothing_noise, summarize
-from ..hashdb import HashDb, HashRecord, hash_network, query
+from ..edgeworth import combine, cornish_fisher, norm_cdf, norm_quantile, smoothing_noise, summarize
+from ..hashdb import HashDb, hash_network, query
 from ..inference import interval_from_quantiles, scaled_discrepancy, two_sample_test
 from ..motif import Motif, motif_from_spec
 from ..projections import DegenerateGraphError
@@ -110,6 +110,32 @@ def _map_reduce(worker, args_list, n_jobs: int) -> list:
     return total
 
 
+def _meta(kind: str, cfg, **extra) -> dict:
+    """The metadata block every runner returns: kind, seed, config, versions."""
+    return {"experiment": kind, "seed": cfg.seed, "config": dataclasses.asdict(cfg),
+            **extra, "versions": _versions()}
+
+
+@dataclass(frozen=True)
+class PairConfig:
+    """Fields shared by the experiments that compare a graphon pair."""
+
+    graphon_a: str = SIM1_GRAPHON_A
+    graphon_b: str = SIM1_GRAPHON_B
+    rho_a: float = DEFAULT_SIM_RHO
+    rho_b: float = DEFAULT_SIM_RHO
+    c_delta: float = 0.01
+    n_boot: int = 200
+    seed: int = 0
+    n_jobs: int | None = None
+
+
+def _sample_pair(cfg: PairConfig, m: int, n: int, rng):
+    """Draw network a (m nodes), then network b (n nodes), from one stream."""
+    return (sample_network(builtin_graphon(cfg.graphon_a), cfg.rho_a, m, rng),
+            sample_network(builtin_graphon(cfg.graphon_b), cfg.rho_b, n, rng))
+
+
 def _centering(cfg, graphon_name: str, rho: float, motif: Motif, side: str) -> float:
     graphon = builtin_graphon(graphon_name)
     # the deterministic oracle covers block models and r <= 3 smooth kernels;
@@ -122,30 +148,28 @@ def _centering(cfg, graphon_name: str, rho: float, motif: Motif, side: str) -> f
     return est.value
 
 
+def _d_true(cfg, motif: Motif) -> float:
+    """Population scaled-moment discrepancy between graphons a and b."""
+    return (_centering(cfg, cfg.graphon_a, cfg.rho_a, motif, "a")
+            - _centering(cfg, cfg.graphon_b, cfg.rho_b, motif, "b"))
+
+
 # ---------------------------------------------------------------------------
 # CDF approximation experiment
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class CdfConfig:
-    graphon_a: str = SIM1_GRAPHON_A
-    graphon_b: str = SIM1_GRAPHON_B
-    rho_a: float = DEFAULT_SIM_RHO
-    rho_b: float = DEFAULT_SIM_RHO
+class CdfConfig(PairConfig):
     motif: str = "triangle"
     sizes: tuple = ((40, 40), (80, 80), (160, 160))
     reps: int = 10_000
-    c_delta: float = 0.01
     grid_lo: float = -2.0
     grid_hi: float = 2.0
     grid_points: int = 401
     include_bootstrap: bool = False
-    n_boot: int = 200
     centering: str = "exact"
     n_mc_centering: int = 400_000
-    seed: int = 0
-    n_jobs: int | None = None
 
     def __post_init__(self):
         if self.reps < 1000:
@@ -154,14 +178,11 @@ class CdfConfig:
             raise ValueError("centering must be 'exact' or 'mc'")
 
 
-def _cdf_chunk(cfg: CdfConfig, m: int, n: int, d_true: float, lo: int, hi: int):
+def _cdf_chunk(cfg: CdfConfig, m: int, n: int, d_true: float,
+               grid: np.ndarray, cap_phi: np.ndarray, lo: int, hi: int):
     motif = motif_from_spec(cfg.motif)
-    ga_model = builtin_graphon(cfg.graphon_a)
-    gb_model = builtin_graphon(cfg.graphon_b)
-    grid = np.linspace(cfg.grid_lo, cfg.grid_hi, cfg.grid_points)
     u2p1 = grid * grid + 1.0
     phi_grid = np.exp(-0.5 * grid * grid) / np.sqrt(2.0 * np.pi)
-    cap_phi = np.array([norm_cdf(u) for u in grid])
 
     t_values = []
     g_sum = np.zeros_like(grid)
@@ -169,8 +190,7 @@ def _cdf_chunk(cfg: CdfConfig, m: int, n: int, d_true: float, lo: int, hi: int):
     clamps = 0
     for rep in range(lo, hi):
         rng = spawn_rng(cfg.seed, "cdf", m, n, rep)
-        sa_net = sample_network(ga_model, cfg.rho_a, m, rng)
-        sb_net = sample_network(gb_model, cfg.rho_b, n, rng)
+        sa_net, sb_net = _sample_pair(cfg, m, n, rng)
         clamps += sa_net.clamp_count + sb_net.clamp_count
         try:
             sa = summarize(sa_net.graph, motif)
@@ -192,14 +212,14 @@ def run_cdf_experiment(cfg: CdfConfig) -> SimResult:
     n_jobs = _resolve_jobs(cfg.n_jobs)
     grid = np.linspace(cfg.grid_lo, cfg.grid_hi, cfg.grid_points)
     phi_cdf = np.array([norm_cdf(u) for u in grid])
-    d_true = (_centering(cfg, cfg.graphon_a, cfg.rho_a, motif, "a")
-              - _centering(cfg, cfg.graphon_b, cfg.rho_b, motif, "b"))
+    d_true = _d_true(cfg, motif)
 
     rows = []
     total_clamps = 0
     total_skipped = 0
     for m, n in cfg.sizes:
-        chunk_args = [(cfg, m, n, d_true, lo, hi) for lo, hi in _chunks(cfg.reps)]
+        chunk_args = [(cfg, m, n, d_true, grid, phi_cdf, lo, hi)
+                      for lo, hi in _chunks(cfg.reps)]
         t_values, g_sum, skipped, clamps = _map_reduce(_cdf_chunk, chunk_args, n_jobs)
         t_values = np.asarray(t_values, dtype=np.float64)
         total_clamps += clamps
@@ -214,9 +234,7 @@ def run_cdf_experiment(cfg: CdfConfig) -> SimResult:
             "normal": phi_cdf,
         }
         if cfg.include_bootstrap:
-            pair_rng = spawn_rng(cfg.seed, "cdf-bootpair", m, n)
-            ga = sample_network(builtin_graphon(cfg.graphon_a), cfg.rho_a, m, pair_rng)
-            gb = sample_network(builtin_graphon(cfg.graphon_b), cfg.rho_b, n, pair_rng)
+            ga, gb = _sample_pair(cfg, m, n, spawn_rng(cfg.seed, "cdf-bootpair", m, n))
             sa = summarize(ga.graph, motif)
             sb = summarize(gb.graph, motif)
             d_obs = scaled_discrepancy(sa, sb)
@@ -241,15 +259,8 @@ def run_cdf_experiment(cfg: CdfConfig) -> SimResult:
                 "reps_used": used,
                 "skipped": skipped,
             })
-    meta = {
-        "experiment": "cdf",
-        "seed": cfg.seed,
-        "config": dataclasses.asdict(cfg),
-        "d_true": d_true,
-        "clamp_count": total_clamps,
-        "skipped": total_skipped,
-        "versions": _versions(),
-    }
+    meta = _meta("cdf", cfg, d_true=d_true, clamp_count=total_clamps,
+                 skipped=total_skipped)
     return SimResult(rows=rows, meta=meta)
 
 
@@ -259,22 +270,14 @@ def run_cdf_experiment(cfg: CdfConfig) -> SimResult:
 
 
 @dataclass(frozen=True)
-class CoverageConfig:
-    graphon_a: str = SIM1_GRAPHON_A
-    graphon_b: str = SIM1_GRAPHON_B
-    rho_a: float = DEFAULT_SIM_RHO
-    rho_b: float = DEFAULT_SIM_RHO
+class CoverageConfig(PairConfig):
     motifs: tuple = ("triangle",)
     sizes: tuple = ((160, 160),)
     level: float = 0.90
     reps: int = 5000
-    c_delta: float = 0.01
     methods: tuple = ("edgeworth", "normal")
-    n_boot: int = 200
     centering: str = "exact"
     n_mc_centering: int = 400_000
-    seed: int = 0
-    n_jobs: int | None = None
 
     def __post_init__(self):
         if self.reps < 1:
@@ -288,8 +291,6 @@ class CoverageConfig:
 
 def _coverage_chunk(cfg: CoverageConfig, m: int, n: int, d_true: dict, lo: int, hi: int):
     motifs = [motif_from_spec(name) for name in cfg.motifs]
-    ga_model = builtin_graphon(cfg.graphon_a)
-    gb_model = builtin_graphon(cfg.graphon_b)
     alpha = 1.0 - cfg.level
     covered = {(mo.name, meth): 0 for mo in motifs for meth in cfg.methods}
     lengths = {(mo.name, meth): 0.0 for mo in motifs for meth in cfg.methods}
@@ -298,8 +299,7 @@ def _coverage_chunk(cfg: CoverageConfig, m: int, n: int, d_true: dict, lo: int, 
     clamps = 0
     for rep in range(lo, hi):
         rng = spawn_rng(cfg.seed, "cov", m, n, rep)
-        sa_net = sample_network(ga_model, cfg.rho_a, m, rng)
-        sb_net = sample_network(gb_model, cfg.rho_b, n, rng)
+        sa_net, sb_net = _sample_pair(cfg, m, n, rng)
         clamps += sa_net.clamp_count + sb_net.clamp_count
         for mo in motifs:
             try:
@@ -318,10 +318,8 @@ def _coverage_chunk(cfg: CoverageConfig, m: int, n: int, d_true: dict, lo: int, 
                     q_lo = cornish_fisher(coeffs, alpha / 2.0)
                     q_hi = cornish_fisher(coeffs, 1.0 - alpha / 2.0)
                 elif meth == "normal":
-                    plain = EdgeworthCoeffs(m=m, n=n, S=coeffs.S, I0=0.0, Q1=0.0,
-                                            Q2=0.0, s_exp=coeffs.s_exp)
-                    q_lo = cornish_fisher(plain, alpha / 2.0)
-                    q_hi = cornish_fisher(plain, 1.0 - alpha / 2.0)
+                    q_lo = norm_quantile(alpha / 2.0)
+                    q_hi = norm_quantile(1.0 - alpha / 2.0)
                 else:
                     boot = bootstrap_distribution(
                         sa_net.graph, sb_net.graph, mo, meth,
@@ -344,11 +342,7 @@ def run_coverage_experiment(cfg: CoverageConfig) -> SimResult:
     """Empirical CI coverage of the corrected interval and its baselines."""
     motifs = [motif_from_spec(name) for name in cfg.motifs]
     n_jobs = _resolve_jobs(cfg.n_jobs)
-    d_true = {
-        mo.name: (_centering(cfg, cfg.graphon_a, cfg.rho_a, mo, "a")
-                  - _centering(cfg, cfg.graphon_b, cfg.rho_b, mo, "b"))
-        for mo in motifs
-    }
+    d_true = {mo.name: _d_true(cfg, mo) for mo in motifs}
     rows = []
     total_clamps = 0
     for m, n in cfg.sizes:
@@ -374,14 +368,7 @@ def run_coverage_experiment(cfg: CoverageConfig) -> SimResult:
                     "skipped": skipped[mo.name],
                     "d_true": d_true[mo.name],
                 })
-    meta = {
-        "experiment": "coverage",
-        "seed": cfg.seed,
-        "config": dataclasses.asdict(cfg),
-        "d_true": d_true,
-        "clamp_count": total_clamps,
-        "versions": _versions(),
-    }
+    meta = _meta("coverage", cfg, d_true=d_true, clamp_count=total_clamps)
     return SimResult(rows=rows, meta=meta)
 
 
@@ -445,15 +432,14 @@ def _null_pair_chunk(cfg: QueryBenchConfig, lo: int, hi: int):
 
 
 def _auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Rank-based AUC; higher score should mean positive label."""
-    from scipy.stats import rankdata
+    """Rank-based AUC, Mann-Whitney U over n_pos * n_neg; positives should score higher."""
+    from scipy.stats import mannwhitneyu  # scipy.stats costs ~1 s of CLI start-up
 
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         return float("nan")
-    ranks = rankdata(scores)
-    return (float(ranks[labels].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    return float(mannwhitneyu(scores[labels], scores[~labels]).statistic) / (n_pos * n_neg)
 
 
 def _roc_points(scores: np.ndarray, labels: np.ndarray) -> list:
@@ -462,27 +448,17 @@ def _roc_points(scores: np.ndarray, labels: np.ndarray) -> list:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         return []
-    order = np.argsort(-scores, kind="stable")
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    for idx in order:
-        if labels[idx]:
-            tp += 1
-        else:
-            fp += 1
-        points.append((fp / n_neg, tp / n_pos))
-    return points
+    hit = labels[np.argsort(-scores, kind="stable")]
+    fpr = np.cumsum(~hit) / n_neg
+    tpr = np.cumsum(hit) / n_pos
+    return [(0.0, 0.0)] + list(zip(fpr.tolist(), tpr.tolist()))
 
 
 def _ks_uniform(p_values: np.ndarray) -> float:
     """Kolmogorov statistic of a sample against Uniform(0,1)."""
-    p = np.sort(np.asarray(p_values))
-    n = len(p)
-    if n == 0:
-        return float("nan")
-    up = np.arange(1, n + 1) / n
-    lo = np.arange(0, n) / n
-    return float(max(np.max(up - p), np.max(p - lo)))
+    from scipy.stats import kstest
+
+    return float(kstest(p_values, "uniform").statistic) if len(p_values) else float("nan")
 
 
 def run_query_benchmark(cfg: QueryBenchConfig) -> SimResult:
@@ -491,12 +467,8 @@ def run_query_benchmark(cfg: QueryBenchConfig) -> SimResult:
     tasks = [(g, k) for g in cfg.graphons for k in range(cfg.entries_per_graphon)]
     chunk_args = [(cfg, tuple(tasks[lo:hi])) for lo, hi in _chunks(len(tasks))]
     recs, total_clamps = _map_reduce(_hash_entry_chunk, chunk_args, n_jobs)
-    entry_graphon: dict[str, str] = {}
-    records: dict[str, HashRecord] = {}
-    for gname, rec in recs:
-        entry_graphon[rec.network_id] = gname
-        records[rec.network_id] = rec
-    db = HashDb(records=records)
+    entry_graphon = {rec.network_id: gname for gname, rec in recs}
+    db = HashDb(records={rec.network_id: rec for _, rec in recs})
 
     rows = []
     detail_rows = []
@@ -554,15 +526,8 @@ def run_query_benchmark(cfg: QueryBenchConfig) -> SimResult:
             "ks_uniform": _ks_uniform(p_values),
             "reject_rate": float((p_values < cfg.alpha).mean()),
         })
-    meta = {
-        "experiment": "query-bench",
-        "seed": cfg.seed,
-        "config": dataclasses.asdict(cfg),
-        "clamp_count": total_clamps,
-        "null_skipped": null_skipped,
-        "roc": roc_curves,
-        "versions": _versions(),
-    }
+    meta = _meta("query-bench", cfg, clamp_count=total_clamps,
+                 null_skipped=null_skipped, roc=roc_curves)
     return SimResult(rows=rows, meta=meta, detail_rows=detail_rows)
 
 
@@ -572,30 +537,20 @@ def run_query_benchmark(cfg: QueryBenchConfig) -> SimResult:
 
 
 @dataclass(frozen=True)
-class BootstrapRunConfig:
-    graphon_a: str = SIM1_GRAPHON_A
-    graphon_b: str = SIM1_GRAPHON_B
-    rho_a: float = DEFAULT_SIM_RHO
-    rho_b: float = DEFAULT_SIM_RHO
+class BootstrapRunConfig(PairConfig):
     m: int = 80
     n: int = 80
     motif: str = "triangle"
     mode: str = "subsample"
-    n_boot: int = 200
     m_sub: int | None = None
     n_sub: int | None = None
     center_on_observed: bool = True
-    c_delta: float = 0.01
-    seed: int = 0
-    n_jobs: int | None = None
 
 
 def run_bootstrap(cfg: BootstrapRunConfig) -> SimResult:
     """Sample one network pair and dump its bootstrap replicate statistics."""
     motif = motif_from_spec(cfg.motif)
-    rng = spawn_rng(cfg.seed, "bootstrap-pair")
-    ga = sample_network(builtin_graphon(cfg.graphon_a), cfg.rho_a, cfg.m, rng)
-    gb = sample_network(builtin_graphon(cfg.graphon_b), cfg.rho_b, cfg.n, rng)
+    ga, gb = _sample_pair(cfg, cfg.m, cfg.n, spawn_rng(cfg.seed, "bootstrap-pair"))
     center = 0.0
     if cfg.center_on_observed:
         sa = summarize(ga.graph, motif)
@@ -611,15 +566,8 @@ def run_bootstrap(cfg: BootstrapRunConfig) -> SimResult:
         {"experiment": "bootstrap", "mode": cfg.mode, "replicate": i, "t_value": v}
         for i, v in enumerate(boot.values.tolist())
     ]
-    meta = {
-        "experiment": "bootstrap",
-        "seed": cfg.seed,
-        "config": dataclasses.asdict(cfg),
-        "center": center,
-        "dropped": boot.n_dropped,
-        "clamp_count": ga.clamp_count + gb.clamp_count,
-        "versions": _versions(),
-    }
+    meta = _meta("bootstrap", cfg, center=center, dropped=boot.n_dropped,
+                 clamp_count=ga.clamp_count + gb.clamp_count)
     return SimResult(rows=rows, meta=meta)
 
 
@@ -656,42 +604,35 @@ def run_experiment(kind: str, cfg) -> SimResult:
     _, runner = EXPERIMENTS[kind]
     start = time.perf_counter()
     result = runner(cfg)
-    elapsed = time.perf_counter() - start
-    result.meta["__wall_time_s"] = elapsed  # stripped before stable output
+    # stripped from stable output; the sidecar keeps it as wall_time_s
+    result.meta["__wall_time_s"] = time.perf_counter() - start
     return result
 
 
-def write_csv(rows: list, path) -> None:
-    if not rows:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("")
-        return
-    fields = list(rows[0].keys())
-    for row in rows[1:]:
-        for key in row:
-            if key not in fields:
-                fields.append(key)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+def write_csv(rows: list, fh) -> None:
+    """Write dict rows as CSV to a text handle, columns in first-seen key order."""
+    fields = dict.fromkeys(k for row in rows for k in row)
+    writer = csv.DictWriter(fh, fieldnames=list(fields))
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 def write_outputs(result: SimResult, csv_path) -> None:
-    """CSV rows plus a JSON sidecar with seed/version/clamp metadata."""
-    write_csv(result.rows, csv_path)
+    """CSV rows plus a JSON sidecar with seed/version/clamp metadata.
+
+    No rows leave an empty CSV file, without the header line.
+    """
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        if result.rows:
+            write_csv(result.rows, fh)
     if result.detail_rows:
-        write_csv(result.detail_rows, str(csv_path) + ".detail.csv")
-    sidecar = dict(result.meta)
-    wall = sidecar.pop("__wall_time_s", None)
-    if wall is not None:
-        sidecar["wall_time_s"] = wall
+        with open(str(csv_path) + ".detail.csv", "w", newline="", encoding="utf-8") as fh:
+            write_csv(result.detail_rows, fh)
+    sidecar = {k.lstrip("_"): v for k, v in result.meta.items()}
     with open(str(csv_path) + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
 
 def stable_meta(result: SimResult) -> dict:
-    meta = {k: v for k, v in result.meta.items() if not k.startswith("__")}
-    return meta
+    return {k: v for k, v in result.meta.items() if not k.startswith("__")}

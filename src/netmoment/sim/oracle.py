@@ -136,8 +136,3 @@ def population_scaled_moment_exact(
     for wg in wgrids:
         weights = weights * wg.ravel()
     return scale * float(weights @ cond)
-
-
-def expected_clamp_free(graphon: Graphon, rho: float) -> bool:
-    """True when rho * f never exceeds 1 on a fine grid."""
-    return rho * graphon.max_value() <= 1.0

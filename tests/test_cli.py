@@ -133,6 +133,26 @@ def test_usage_error_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("test", "--motif", "triangle", "--alpha", "1.5"),
+    ("test", "--motif", "triangle", "--alpha", "0"),
+    ("test", "--motif", "triangle", "--c-delta", "-1"),
+    ("test", "--motif", "triangle", "--c-delta", "nan"),
+    ("ci", "--motif", "triangle", "--level", "2"),
+    ("ci", "--motif", "triangle", "--level", "1"),
+    ("query", "--motif", "triangle", "--alpha", "-0.1"),
+])
+def test_bad_level_or_c_delta_is_usage_error(capsys, two_files, argv):
+    a, b = two_files
+    sources = ("--keyword", a, "--db", b) if argv[0] == "query" else ("--a", a, "--b", b)
+    code, out, err = run_cli(capsys, *argv, *sources, "--seed", "1")
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err.splitlines()[-1])
+    assert payload["kind"] == "usage"
+    assert argv[-2] in payload["error"]
+
+
 def test_data_error_exit_1(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "test", "--a", str(tmp_path / "missing.txt"),
@@ -181,6 +201,19 @@ def test_simulate_cdf_with_config(capsys, tmp_path):
     assert out_path.exists()
     assert (tmp_path / "cdf.csv.meta.json").exists()
     assert "seed: 31" in err
+
+
+def test_simulate_no_rows_csv(capsys, tmp_path):
+    # no rows: stdout gets the empty header line, the --out file stays empty
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps({"keywords": [], "entries_per_graphon": 1, "n": 30,
+                                    "seed": 2, "n_jobs": 1}))
+    out_path = tmp_path / "bench.csv"
+    code, out, _ = run_cli(capsys, "simulate", "query-bench", "--config", str(cfg_path),
+                           "--out", str(out_path), "--format", "csv")
+    assert code == 0
+    assert out == "\r\n"
+    assert out_path.read_bytes() == b""
 
 
 def test_simulate_seed_flag_overrides_config(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -135,6 +136,27 @@ def test_config_from_dict_validation():
         config_from_dict("coverage", {"reps": 0})
     with pytest.raises(ValueError):
         config_from_dict("query-bench", {"null_pairs": -1})
+
+
+def test_default_config_fields_pinned():
+    # meta.config carries these dicts, so their keys and defaults are output
+    pair = {"graphon_a": "SmoothGraphon-2", "graphon_b": "SmoothGraphon-4",
+            "rho_a": 0.25, "rho_b": 0.25, "c_delta": 0.01, "n_boot": 200,
+            "seed": 0, "n_jobs": None}
+    assert dataclasses.asdict(CdfConfig()) == {
+        **pair, "motif": "triangle", "sizes": ((40, 40), (80, 80), (160, 160)),
+        "reps": 10_000, "grid_lo": -2.0, "grid_hi": 2.0, "grid_points": 401,
+        "include_bootstrap": False, "centering": "exact", "n_mc_centering": 400_000,
+    }
+    assert dataclasses.asdict(CoverageConfig()) == {
+        **pair, "motifs": ("triangle",), "sizes": ((160, 160),), "level": 0.90,
+        "reps": 5000, "methods": ("edgeworth", "normal"), "centering": "exact",
+        "n_mc_centering": 400_000,
+    }
+    assert dataclasses.asdict(BootstrapRunConfig()) == {
+        **pair, "m": 80, "n": 80, "motif": "triangle", "mode": "subsample",
+        "m_sub": None, "n_sub": None, "center_on_observed": True,
+    }
 
 
 def test_write_outputs_and_sidecar(tmp_path):

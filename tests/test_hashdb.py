@@ -103,6 +103,24 @@ def test_db_load_skips_torn_final_record(tmp_path, caplog):
     assert any("line 3" in r.message and str(path) in r.message for r in caplog.records)
 
 
+
+def test_db_append_after_torn_record_cuts_the_fragment(tmp_path, caplog):
+    path = tmp_path / "db.ndjson"
+    rng = spawn_rng(5, "torn-append")
+    records = [nm.hash_network(random_graph(15, 0.5, rng), [nm.TRIANGLE], f"r{i}")
+               for i in range(4)]
+    for rec in records[:3]:
+        nm.db_append(path, rec)
+    torn = path.read_bytes()[:-40]
+    path.write_bytes(torn)
+    with caplog.at_level(logging.WARNING):
+        nm.db_append(path, records[3])
+    dropped = len(torn) - torn.rindex(b"\n") - 1
+    assert any(str(path) in r.message and f"{dropped} bytes" in r.message
+               for r in caplog.records)
+    assert sorted(nm.db_load(path).records) == ["r0", "r1", "r3"]
+
+
 def test_db_load_bad_schema_version(tmp_path):
     rec = nm.hash_network(random_graph(15, 0.5, spawn_rng(5, "s")), [nm.TRIANGLE], "x")
     payload = json.loads(record_to_json(rec))

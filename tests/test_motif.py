@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netmoment as nm
-from netmoment.motif import moment_census, motif_by_name
+from netmoment.motif import moment_census, motif_by_name, motif_from_spec
 from netmoment.rng import spawn_rng
 
 from conftest import random_graph
@@ -174,3 +174,21 @@ def test_custom_motif_generic_path():
     )
     vec = moment_census(g, c4_motif).node_avgs
     assert np.mean(vec) == pytest.approx(nm.moment_u(g, c4_motif), abs=1e-10)
+
+
+def test_closed_form_chosen_by_shape_not_name():
+    # a 4-cycle that calls itself "triangle" must take the generic path
+    pat = np.zeros((4, 4), dtype=bool)
+    for a, b in [(0, 1), (1, 2), (2, 3), (3, 0)]:
+        pat[a, b] = pat[b, a] = True
+    fake = motif_from_spec({"name": "triangle", "pattern": pat.astype(int).tolist()})
+    g = random_graph(6, 0.5, spawn_rng(3, "fake-triangle"))
+    assert nm.moment_u(g, fake) == pytest.approx(nm.moment_u_bruteforce(g, fake), abs=1e-12)
+    # a 3-node path under another name gets the vshape closed form, bit for bit
+    cherry = motif_from_spec({"name": "cherry", "pattern": [[0, 1, 0], [1, 0, 1], [0, 1, 0]]})
+    g = random_graph(20, 0.3, spawn_rng(3, "cherry"))
+    got = moment_census(g, cherry, want_pairs=True)
+    want = moment_census(g, nm.VSHAPE, want_pairs=True)
+    assert got.u_hat == want.u_hat
+    assert np.array_equal(got.node_avgs, want.node_avgs)
+    assert np.array_equal(got.pair_avgs, want.pair_avgs)
