@@ -26,13 +26,6 @@ from .inference import confidence_interval, two_sample_test
 from .motif import motif_by_name
 from .projections import DegenerateGraphError
 from .rng import spawn_rng
-from .sim.experiments import (
-    config_from_dict,
-    run_experiment,
-    stable_meta,
-    write_csv,
-    write_outputs,
-)
 
 logger = logging.getLogger("netmoment")
 
@@ -80,9 +73,13 @@ def _parse_motifs(spec: str):
     if not names:
         raise UsageError("empty motif list")
     try:
-        return [motif_by_name(name) for name in names]
+        motifs = [motif_by_name(name) for name in names]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    resolved = [motif.name for motif in motifs]
+    if len(set(resolved)) != len(resolved):
+        raise UsageError(f"duplicate motif names in {spec!r}: {resolved}")
+    return motifs
 
 
 def _emit(payload, fmt: str) -> None:
@@ -90,6 +87,9 @@ def _emit(payload, fmt: str) -> None:
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True, default=str))
         sys.stdout.write("\n")
         return
+    # imported here so that JSON output never loads the simulation harness
+    from .sim.experiments import write_csv
+
     rows = payload if isinstance(payload, list) else [payload]
     write_csv([
         {k: (json.dumps(v, sort_keys=True, default=str)
@@ -219,6 +219,8 @@ def _cmd_ci(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .sim.experiments import config_from_dict, run_experiment, stable_meta, write_outputs
+
     seed_given = args.seed is not None or "NETMOMENT_SEED" in os.environ
     with open(args.config, "r", encoding="utf-8") as fh:
         payload = json.load(fh)

@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .graph import Graph
 from .motif import Motif, moment_census
@@ -53,6 +52,10 @@ def norm_pdf(u: float) -> float:
 
 def norm_quantile(alpha: float) -> float:
     """Inverse standard normal CDF."""
+    # imported here: scipy.special adds about 0.3 s to every process that
+    # loads it, and only `ci` and the coverage runner reach this function
+    from scipy.special import ndtri
+
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"quantile level must be in (0,1), got {alpha}")
     return float(ndtri(alpha))
@@ -177,34 +180,58 @@ def summarize(g: Graph, motif: Motif, network_id: str = "") -> NetworkSummary:
             )
 
             gm2 = g2_matrix(g, motif, ps, _census=census)
+            del census  # its pair_avgs are folded into gm2
             grm2 = grho2_matrix(g, ps)
 
-            # alpha2/alpha4 matrices are asymmetric: the row index is the
-            # first argument of the pair function
-            alpha2 = (
-                0.5 * r * (r - 1) * rp[s] * gm2
-                - s * rp[s + 1] * u_hat * grm2
-                + 2.0 * s * (s + 1) * rp[s + 2] * u_hat * np.outer(grho1, grho1)
-                - 2.0 * r * s * rp[s + 1] * np.outer(grho1, g1)
-            )
-            alpha4 = (
-                2.0 * r * r * (r - 1) * rp[2 * s] * (g1[:, None] * gm2)
-                + 8.0 * s * s * rp[2 * s + 2] * u_hat * u_hat * (grho1[:, None] * grm2)
-                - 4.0 * r * (r - 1) * s * rp[2 * s + 1] * u_hat * (grho1[:, None] * gm2)
-                - 4.0 * r * s * rp[2 * s + 1] * u_hat * (g1[:, None] * grm2)
-            )
-            np.fill_diagonal(alpha2, 0.0)
-            np.fill_diagonal(alpha4, 0.0)
+            # alpha4 and alpha2 are asymmetric (the row index is the first
+            # argument of the pair function):
+            #   alpha4_ij = 2 r^2 (r-1) rho^-2s g1_i g2_ij
+            #             + 8 s^2 rho^-(2s+2) u^2 grho1_i grho2_ij
+            #             - 4 r (r-1) s rho^-(2s+1) u grho1_i g2_ij
+            #             - 4 r s rho^-(2s+1) u g1_i grho2_ij
+            #   alpha2_ij = r (r-1)/2 rho^-s g2_ij - s rho^-(s+1) u grho2_ij
+            #             + 2 s (s+1) rho^-(s+2) u grho1_i grho1_j
+            #             - 2 r s rho^-(s+1) grho1_i g1_j
+            # Each is summed term by term, in this order, into one buffer and
+            # reduced before the next is built, so at most four m x m arrays
+            # are alive: gm2, grm2, acc and term.
+            acc = np.empty_like(gm2)
+            term = np.empty_like(gm2)
 
+            np.multiply(g1[:, None], gm2, out=acc)
+            acc *= 2.0 * r * r * (r - 1) * rp[2 * s]
+            np.multiply(grho1[:, None], grm2, out=term)
+            term *= 8.0 * s * s * rp[2 * s + 2] * u_hat * u_hat
+            acc += term
+            np.multiply(grho1[:, None], gm2, out=term)
+            term *= 4.0 * r * (r - 1) * s * rp[2 * s + 1] * u_hat
+            acc -= term
+            np.multiply(g1[:, None], grm2, out=term)
+            term *= 4.0 * r * s * rp[2 * s + 1] * u_hat
+            acc -= term
+            np.fill_diagonal(acc, 0.0)  # acc = alpha4
             m = g.m
             pairs = m * (m - 1)
+            # average over ordered pairs with alpha1 attached to the second
+            # argument
+            e_a4_a1 = float(acc.sum(axis=0) @ alpha1) / pairs
+
+            np.multiply(gm2, 0.5 * r * (r - 1) * rp[s], out=acc)
+            np.multiply(grm2, s * rp[s + 1] * u_hat, out=term)
+            acc -= term
+            np.multiply(grho1[:, None], grho1[None, :], out=term)
+            term *= 2.0 * s * (s + 1) * rp[s + 2] * u_hat
+            acc += term
+            np.multiply(grho1[:, None], g1[None, :], out=term)
+            term *= 2.0 * r * s * rp[s + 1]
+            acc -= term
+            np.fill_diagonal(acc, 0.0)  # acc = alpha2
+            np.multiply(alpha1[:, None], alpha1[None, :], out=term)
+            term *= acc
+            e_a1a1a2 = float(term.sum()) / pairs
+
             e_a1_cubed = float(np.mean(alpha1 ** 3))
             e_a1_a3 = float(np.mean(alpha1 * alpha3))
-            # alpha4 is asymmetric, so average over ordered pairs with alpha1
-            # attached to the second argument
-            e_a4_a1 = float(alpha4.sum(axis=0) @ alpha1) / pairs
-            prod = alpha2 * np.outer(alpha1, alpha1)
-            e_a1a1a2 = float(prod.sum()) / pairs
             xi_alpha1_sq = float(np.mean(alpha1 * alpha1))
             # alpha1 is a difference of two terms; when they cancel exactly
             # (edge motif: the scaled moment is the constant 1) the residual

@@ -184,8 +184,10 @@ def record_from_json(line: str) -> HashRecord:
 def db_append(path, record: HashRecord) -> None:
     """Append one record to the NDJSON store, line and newline in one write.
 
-    A store that does not end in a newline ends in an append cut short: that
-    fragment is cut off, with a warning, so the new record gets its own line.
+    A store that does not end in a newline ends in an append cut short. If
+    its last line is still a whole record (only the newline was lost), the
+    newline is restored; otherwise the fragment is cut off. Either way a
+    warning is logged and the new record gets its own line.
     """
     record.validate()
     line = (record_to_json(record) + "\n").encode("utf-8")
@@ -196,10 +198,18 @@ def db_append(path, record: HashRecord) -> None:
             if fh.read(1) != b"\n":
                 # rare recovery path, so one whole read is fine
                 fh.seek(0)
-                keep = fh.read().rfind(b"\n") + 1
-                logger.warning("%s: dropping %d bytes of a torn final record",
-                               path, end - keep)
-                fh.truncate(keep)
+                data = fh.read()
+                keep = data.rfind(b"\n") + 1
+                try:
+                    record_from_json(data[keep:].decode("utf-8"))
+                except ValueError:  # DbFormatError, a bad value, bad UTF-8
+                    logger.warning("%s: dropping %d bytes of a torn final record",
+                                   path, end - keep)
+                    fh.truncate(keep)
+                else:
+                    logger.warning("%s: restoring the newline after the final record",
+                                   path)
+                    line = b"\n" + line
         fh.write(line)
 
 

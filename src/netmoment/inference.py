@@ -66,6 +66,27 @@ def scaled_discrepancy(sa: NetworkSummary, sb: NetworkSummary) -> float:
     return sa.rho_hat ** (-s) * sa.u_hat - sb.rho_hat ** (-s) * sb.u_hat
 
 
+def _pair_statistics(
+    sa: NetworkSummary,
+    sb: NetworkSummary,
+    level: float,
+    c_delta: float,
+    rng: np.random.Generator | None,
+    delta_t: float | None,
+) -> tuple[EdgeworthCoeffs, float, float]:
+    """Check the level, then return (coeffs, D, delta_t) for one pair; the
+    smoothing draw is taken from rng (a fresh one if None) unless given."""
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0,1), got {level}")
+    coeffs = combine(sa, sb)
+    d_hat = scaled_discrepancy(sa, sb)
+    if delta_t is None:
+        if rng is None:
+            rng = np.random.default_rng()
+        delta_t = smoothing_noise(sa.n, sb.n, c_delta, rng)
+    return coeffs, d_hat, delta_t
+
+
 def two_sample_test(
     sa: NetworkSummary,
     sb: NetworkSummary,
@@ -79,14 +100,7 @@ def two_sample_test(
     `delta_t` overrides the smoothing draw (used to share one realization
     between a test and its interval); otherwise one draw is taken from rng.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0,1), got {level}")
-    coeffs = combine(sa, sb)
-    d_hat = scaled_discrepancy(sa, sb)
-    if delta_t is None:
-        if rng is None:
-            rng = np.random.default_rng()
-        delta_t = smoothing_noise(sa.n, sb.n, c_delta, rng)
+    coeffs, d_hat, delta_t = _pair_statistics(sa, sb, level, c_delta, rng, delta_t)
     t_obs = d_hat / coeffs.S + delta_t
     g_val = cdf(coeffs, t_obs)
     p_value = 2.0 * min(g_val, 1.0 - g_val)
@@ -115,14 +129,7 @@ def confidence_interval(
     Both endpoints use the same smoothing realization:
     (D - (q_{1-a/2} - delta) S, D - (q_{a/2} - delta) S) with a = 1 - level.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0,1), got {level}")
-    coeffs = combine(sa, sb)
-    d_hat = scaled_discrepancy(sa, sb)
-    if delta_t is None:
-        if rng is None:
-            rng = np.random.default_rng()
-        delta_t = smoothing_noise(sa.n, sb.n, c_delta, rng)
+    coeffs, d_hat, delta_t = _pair_statistics(sa, sb, level, c_delta, rng, delta_t)
     alpha = 1.0 - level
     q_lo = cornish_fisher(coeffs, alpha / 2.0)
     q_hi = cornish_fisher(coeffs, 1.0 - alpha / 2.0)

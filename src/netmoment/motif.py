@@ -163,7 +163,8 @@ def moment_census(g: Graph, motif: Motif, want_pairs: bool = False) -> MomentCen
         # every partial sum stays below 2^53, so the counts are exact integers
         # in float64 regardless of BLAS blocking order
         n2 = a @ a  # common neighbours per pair
-        tri_per_node = (n2 * g.adj).sum(axis=1) / 2.0
+        n2_on_edges = n2 * g.adj  # triangles through each edge
+        tri_per_node = n2_on_edges.sum(axis=1) / 2.0
         tri_total = tri_per_node.sum() / 3.0
     if motif.r == 2:  # edge
         u_hat = density(g)
@@ -172,7 +173,11 @@ def moment_census(g: Graph, motif: Motif, want_pairs: bool = False) -> MomentCen
     elif shape == (3, 3):  # triangle
         u_hat = float(tri_total) / comb(m, 3)
         node_avgs = tri_per_node / node_denom
-        pair_avgs = (a * n2 / pair_denom) if want_pairs else None
+        if want_pairs:
+            n2_on_edges /= pair_denom
+            pair_avgs = n2_on_edges
+        else:
+            pair_avgs = None
     elif shape == (3, 2):  # vshape
         d = g.degrees.astype(np.float64)
         centred = d * (d - 1) / 2.0  # vshapes centred at each node
@@ -183,8 +188,12 @@ def moment_census(g: Graph, motif: Motif, want_pairs: bool = False) -> MomentCen
         cherries = centred + a @ (d - 1)
         node_avgs = (cherries - 2.0 * tri_per_node) / node_denom
         if want_pairs:
+            # on an edge the pair's count is d_i + d_j - 2 - n2, off it n2;
+            # built in n2, which nothing reads after this
             with_edge = d[:, None] + d[None, :] - 2.0 - n2
-            pair_avgs = np.where(g.adj, with_edge, n2) / pair_denom
+            np.copyto(n2, with_edge, where=g.adj)
+            n2 /= pair_denom
+            pair_avgs = n2
         else:
             pair_avgs = None
     else:

@@ -76,17 +76,19 @@ def g2_matrix(
     census = _census
     if census is None or census.pair_avgs is None:
         census = moment_census(g, motif, want_pairs=True)
-    out = census.pair_avgs - (ps.g1[:, None] + ps.g1[None, :]) - ps.u_hat
+    # pair_avgs - (g1_i + g1_j) - u_hat, evaluated in one buffer
+    out = np.add(ps.g1[:, None], ps.g1[None, :])
+    np.subtract(census.pair_avgs, out, out=out)
+    out -= ps.u_hat
     np.fill_diagonal(out, 0.0)
     return out
 
 
 def grho2_matrix(g: Graph, ps: ProjectionSet) -> np.ndarray:
     """All-pairs grho2 values (diagonal zeroed)."""
-    out = (
-        g.adj.astype(np.float64)
-        - (ps.grho1[:, None] + ps.grho1[None, :])
-        - ps.rho_hat
-    )
+    # A - (grho1_i + grho1_j) - rho_hat, with one temporary
+    out = g.adj.astype(np.float64)
+    out -= np.add(ps.grho1[:, None], ps.grho1[None, :])
+    out -= ps.rho_hat
     np.fill_diagonal(out, 0.0)
     return out

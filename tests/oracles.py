@@ -4,11 +4,18 @@ Everything here is deliberately written with plain Python loops and math,
 transcribing the estimator formulas one line at a time, with no shared code
 or vectorization tricks from the package under test. Keep it slow and
 obvious; it is the ground truth the fast paths are checked against.
+
+The one exception is `frozen_summary`, a fixed numpy copy of the dense
+summary pipeline (census closed forms, projections, pair matrices and the
+reductions) in its original operation order. It pins the package's summary
+bit for bit while the package reuses buffers in place.
 """
 
 import itertools
 import math
 from math import comb, erfc, sqrt, pi, exp
+
+import numpy as np
 
 
 def brute_h(sub_rows, motif_edges, r):
@@ -144,6 +151,110 @@ def brute_summary(graph, motif_name):
         "e_a1_a3": e_a1_a3,
         "e_a4_a1": e_a4_a1,
         "e_a1a1a2": e_a1a1a2,
+    }
+
+
+def frozen_summary(graph, motif_name):
+    """The nine summary fields of the dense pipeline, as a dict, for the
+    edge, vshape and triangle motifs. Change nothing here: every expression
+    keeps the operation order whose bits the package must reproduce."""
+    r, edges = motif_edges_of(motif_name)
+    s = len(edges)
+    adj = graph.adj
+    m = graph.m
+    deg = graph.degrees
+    rho = 2.0 * (int(deg.sum()) // 2) / (m * (m - 1))
+    node_denom = comb(m - 1, r - 1)
+    pair_denom = comb(m - 2, r - 2)
+
+    # moment census
+    if r == 3:
+        a = adj.astype(np.float64)
+        n2 = a @ a
+        tri_per_node = (n2 * adj).sum(axis=1) / 2.0
+        tri_total = tri_per_node.sum() / 3.0
+    if r == 2:
+        u_hat = rho
+        node_avgs = deg / float(m - 1)
+        pair_avgs = adj.astype(np.float64)
+    elif s == 3:
+        u_hat = float(tri_total) / comb(m, 3)
+        node_avgs = tri_per_node / node_denom
+        pair_avgs = a * n2 / pair_denom
+    else:
+        d = deg.astype(np.float64)
+        centred = d * (d - 1) / 2.0
+        u_hat = float(centred.sum() - 2.0 * tri_total) / comb(m, 3)
+        cherries = centred + a @ (d - 1)
+        node_avgs = (cherries - 2.0 * tri_per_node) / node_denom
+        with_edge = d[:, None] + d[None, :] - 2.0 - n2
+        pair_avgs = np.where(adj, with_edge, n2) / pair_denom
+    np.fill_diagonal(pair_avgs, 0.0)
+
+    # first-order projections
+    g1 = node_avgs - u_hat
+    grho1 = deg / (m - 1.0) - rho
+    xi_g = float(np.mean(g1 * g1))
+    xi_rho = float(np.mean(grho1 * grho1))
+    xi_x = float(np.mean(g1 * grho1))
+
+    # pair matrices
+    gm2 = pair_avgs - (g1[:, None] + g1[None, :]) - u_hat
+    np.fill_diagonal(gm2, 0.0)
+    grm2 = adj.astype(np.float64) - (grho1[:, None] + grho1[None, :]) - rho
+    np.fill_diagonal(grm2, 0.0)
+
+    rp = {k: rho ** (-k) for k in (s, s + 1, s + 2, 2 * s, 2 * s + 1, 2 * s + 2, 2 * s + 3)}
+    alpha1 = r * rp[s] * g1 - 2.0 * s * rp[s + 1] * u_hat * grho1
+    alpha0 = (
+        2.0 * s * (s + 1) * rp[s + 2] * u_hat * xi_rho
+        - 2.0 * r * s * rp[s + 1] * xi_x
+    )
+    alpha3 = (
+        -4.0 * r * r * s * rp[2 * s + 1] * xi_g * grho1
+        + r * r * rp[2 * s] * (g1 * g1 - xi_g)
+        - 16.0 * s * s * (s + 1) * rp[2 * s + 3] * u_hat * u_hat * xi_rho * grho1
+        + 8.0 * r * s * s * rp[2 * s + 2] * u_hat * xi_rho * g1
+        + 4.0 * s * s * rp[2 * s + 2] * u_hat * u_hat * (grho1 * grho1 - xi_rho)
+        - 4.0 * r * s * (
+            -(4.0 * s + 2.0) * rp[2 * s + 2] * u_hat * xi_x * grho1
+            + r * rp[2 * s + 1] * xi_x * g1
+            + rp[2 * s + 1] * u_hat * (g1 * grho1 - xi_x)
+        )
+    )
+    alpha2 = (
+        0.5 * r * (r - 1) * rp[s] * gm2
+        - s * rp[s + 1] * u_hat * grm2
+        + 2.0 * s * (s + 1) * rp[s + 2] * u_hat * np.outer(grho1, grho1)
+        - 2.0 * r * s * rp[s + 1] * np.outer(grho1, g1)
+    )
+    alpha4 = (
+        2.0 * r * r * (r - 1) * rp[2 * s] * (g1[:, None] * gm2)
+        + 8.0 * s * s * rp[2 * s + 2] * u_hat * u_hat * (grho1[:, None] * grm2)
+        - 4.0 * r * (r - 1) * s * rp[2 * s + 1] * u_hat * (grho1[:, None] * gm2)
+        - 4.0 * r * s * rp[2 * s + 1] * u_hat * (g1[:, None] * grm2)
+    )
+    np.fill_diagonal(alpha2, 0.0)
+    np.fill_diagonal(alpha4, 0.0)
+
+    pairs = m * (m - 1)
+    xi_alpha1_sq = float(np.mean(alpha1 * alpha1))
+    cancel_floor = 1e-26 * float(
+        np.mean((r * rp[s] * g1) ** 2)
+        + np.mean((2.0 * s * rp[s + 1] * u_hat * grho1) ** 2)
+    )
+    if xi_alpha1_sq <= cancel_floor:
+        xi_alpha1_sq = 0.0
+    return {
+        "rho_hat": rho,
+        "u_hat": u_hat,
+        "alpha0_hat": alpha0,
+        "xi_g1_sq": xi_g,
+        "xi_alpha1_sq": xi_alpha1_sq,
+        "e_a1_cubed": float(np.mean(alpha1 ** 3)),
+        "e_a1_a3": float(np.mean(alpha1 * alpha3)),
+        "e_a4_a1": float(alpha4.sum(axis=0) @ alpha1) / pairs,
+        "e_a1a1a2": float((alpha2 * np.outer(alpha1, alpha1)).sum()) / pairs,
     }
 
 

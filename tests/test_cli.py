@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +157,26 @@ def test_bad_level_or_c_delta_is_usage_error(capsys, two_files, argv):
     assert argv[-2] in payload["error"]
 
 
+@pytest.mark.parametrize("command", ["hash", "query"])
+def test_duplicate_motifs_are_usage_error(capsys, tmp_path, two_files, command):
+    a, _ = two_files
+    db = tmp_path / "db.ndjson"
+    nm.db_append(db, nm.hash_network(nm.load_edge_list(a), [nm.TRIANGLE], "x"))
+    before = db.read_bytes()
+    if command == "hash":  # the alias names the same motif
+        argv = ("hash", "--input", a, "--motifs", "vshape,2-star", "--id", "y",
+                "--out", str(db))
+    else:
+        argv = ("query", "--keyword", a, "--db", str(db), "--motif", "triangle,triangle")
+    code, out, err = run_cli(capsys, *argv, "--seed", "1")
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err.splitlines()[-1])
+    assert payload["kind"] == "usage"
+    assert "duplicate" in payload["error"]
+    assert db.read_bytes() == before
+
+
 def test_data_error_exit_1(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "test", "--a", str(tmp_path / "missing.txt"),
@@ -278,3 +302,17 @@ def test_query_never_touches_adjacency_after_hashing(capsys, tmp_path, two_files
     assert code == 0
     assert state["loads"] == 1  # keyword file read exactly once
     assert json.loads(out)["hits"]
+
+
+@pytest.mark.parametrize("module", ["netmoment", "netmoment.cli"])
+def test_import_leaves_scipy_and_harness_unloaded(module):
+    # only `ci` and `simulate` need scipy, and only `simulate` needs the harness
+    src = str(Path(nm.__file__).resolve().parent.parent)
+    code = (f"import sys, {module}; "
+            "print([m for m in ('scipy.special', 'scipy.stats', "
+            "'netmoment.sim.experiments', 'concurrent.futures.process') "
+            "if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"

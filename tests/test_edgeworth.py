@@ -191,6 +191,14 @@ def test_norm_quantile_accuracy():
         assert norm_cdf(z) == pytest.approx(alpha, rel=1e-9, abs=1e-12)
 
 
+def test_norm_quantile_is_scipy_ndtri():
+    from scipy.special import ndtri
+
+    levels = [*np.linspace(0.0005, 0.9995, 1999), 1e-300, 1e-12, 1 - 1e-12, 0.05, 0.95]
+    for alpha in levels:
+        assert norm_quantile(float(alpha)) == float(ndtri(alpha))
+
+
 # --- smoothing noise / rate diagnostic ---------------------------------------
 
 

@@ -121,6 +121,24 @@ def test_db_append_after_torn_record_cuts_the_fragment(tmp_path, caplog):
     assert sorted(nm.db_load(path).records) == ["r0", "r1", "r3"]
 
 
+def test_db_append_keeps_a_whole_record_that_lost_its_newline(tmp_path, caplog):
+    path = tmp_path / "db.ndjson"
+    rng = spawn_rng(6, "lost-newline")
+    records = [nm.hash_network(random_graph(15, 0.5, rng), [nm.TRIANGLE], f"n{i}")
+               for i in range(4)]
+    for rec in records[:3]:
+        nm.db_append(path, rec)
+    path.write_bytes(path.read_bytes()[:-1])
+    assert sorted(nm.db_load(path).records) == ["n0", "n1", "n2"]
+    with caplog.at_level(logging.WARNING):
+        nm.db_append(path, records[3])
+    assert any(str(path) in r.message and "newline" in r.message for r in caplog.records)
+    db = nm.db_load(path)
+    assert sorted(db.records) == ["n0", "n1", "n2", "n3"]
+    assert db.records["n2"] == records[2]
+    assert path.read_bytes().endswith(b"\n")
+
+
 def test_db_load_bad_schema_version(tmp_path):
     rec = nm.hash_network(random_graph(15, 0.5, spawn_rng(5, "s")), [nm.TRIANGLE], "x")
     payload = json.loads(record_to_json(rec))

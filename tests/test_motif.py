@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import netmoment as nm
+from netmoment.edgeworth import SUMMARY_FIELDS
 from netmoment.motif import moment_census, motif_by_name, motif_from_spec
 from netmoment.rng import spawn_rng
 
 from conftest import random_graph
-from oracles import brute_moments
+from oracles import brute_moments, frozen_summary
 
 
 def test_builtin_shapes():
@@ -127,6 +128,22 @@ def test_pair_avgs_match_oracle(m, p, seed, motif_name):
         assert census.pair_avgs[i, j] == pytest.approx(want, abs=1e-12)
         assert census.pair_avgs[j, i] == census.pair_avgs[i, j]
     assert not np.any(np.diagonal(census.pair_avgs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(4, 40),
+    p=st.floats(0.05, 0.95),
+    seed=st.integers(0, 10_000),
+    motif_name=st.sampled_from(["edge", "vshape", "triangle"]),
+)
+def test_summarize_matches_frozen_dense_summary_bit_for_bit(m, p, seed, motif_name):
+    g = random_graph(m, p, spawn_rng(seed, "frozen-summary"))
+    assume(0 < g.edge_count < m * (m - 1) // 2)
+    got = nm.summarize(g, motif_by_name(motif_name))
+    want = frozen_summary(g, motif_name)
+    assert {f: float(getattr(got, f)).hex() for f in SUMMARY_FIELDS} == {
+        f: float(want[f]).hex() for f in SUMMARY_FIELDS}
 
 
 @settings(max_examples=30, deadline=None)
