@@ -19,6 +19,7 @@ import secrets
 import sys
 
 from . import __version__
+from .csvout import write_csv
 from .edgeworth import rate_diagnostic, summarize
 from .graph import EdgeListError, load_edge_list
 from .hashdb import DbFormatError, db_append, db_load, hash_network, query
@@ -87,9 +88,6 @@ def _emit(payload, fmt: str) -> None:
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True, default=str))
         sys.stdout.write("\n")
         return
-    # imported here so that JSON output never loads the simulation harness
-    from .sim.experiments import write_csv
-
     rows = payload if isinstance(payload, list) else [payload]
     write_csv([
         {k: (json.dumps(v, sort_keys=True, default=str)

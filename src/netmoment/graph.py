@@ -71,15 +71,12 @@ class Graph:
     @classmethod
     def from_edges(cls, m: int, edges) -> "Graph":
         """Build a graph from an iterable of (i, j) pairs on nodes 0..m-1."""
-        adj = np.zeros((m, m), dtype=bool)
-        for i, j in edges:
-            if not (0 <= i < m and 0 <= j < m):
-                raise ValueError(f"edge ({i}, {j}) has a node id outside 0..{m - 1}")
-            if i == j:
-                continue
-            adj[i, j] = True
-            adj[j, i] = True
-        return cls(adj)
+        uv = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        outside = ((uv < 0) | (uv >= m)).any(axis=1)
+        if outside.any():
+            i, j = uv[outside.argmax()].tolist()
+            raise ValueError(f"edge ({i}, {j}) has a node id outside 0..{m - 1}")
+        return cls(_adjacency(m, uv[uv[:, 0] != uv[:, 1]]))
 
     def __repr__(self):
         return f"Graph(m={self.m}, edges={self.edge_count})"
@@ -104,29 +101,118 @@ def permute(g: Graph, pi) -> Graph:
     return Graph(g.adj[np.ix_(inv, inv)])
 
 
+# Byte classes of the bulk parser. Blanks (space, \t, \v, \f) separate
+# tokens as str.split() does. A lone "\r" becomes a line feed; any other byte
+# of class _CR or above, such as the "\r" of "\r\n", "#", "%", "+", "-", "_",
+# \x1c-\x1f or a non-ASCII byte, sends its line to the per-line parser.
+_BLANK, _DIGIT, _LF, _CR, _OTHER = range(5)
+_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_CLASS[[ord(" "), ord("\t"), ord("\v"), ord("\f")]] = _BLANK
+_BYTE_CLASS[ord("0"):ord("9") + 1] = _DIGIT
+_BYTE_CLASS[ord("\n")] = _LF
+_BYTE_CLASS[ord("\r")] = _CR
+_MAX_DIGITS = 18  # 10**18 - 1 < 2**63, so a longer run may not fit int64
+
+
+def _split_plain_lines(data: bytes):
+    """Find the lines of `data` and parse its plain lines with array code.
+
+    Lines end at "\n", "\r\n" or a lone "\r", as in a text-mode read. A
+    plain line holds exactly two runs of at most 18 ASCII digits and nothing
+    else but blanks. Returns the (k, 2) int64 ids of the plain lines, their
+    0-based line numbers, the start and end offsets of every line, and the
+    0-based numbers of the other lines that hold anything but blanks.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    n = buf.size
+    cls = _BYTE_CLASS[buf]
+    cr = np.flatnonzero(cls == _CR)
+    cls[cr[buf[np.minimum(cr + 1, n - 1)] != ord("\n")]] = _LF
+    line_end = np.flatnonzero(cls == _LF)
+    line_start = np.concatenate(([0], line_end + 1))
+    line_end = np.append(line_end, n)
+
+    is_digit = np.zeros(n + 2, dtype=np.int8)  # padded, so every run has both edges
+    is_digit[1:-1] = cls == _DIGIT
+    step = np.diff(is_digit)
+    run_start = np.flatnonzero(step == 1)
+    run_len = np.flatnonzero(step == -1) - run_start
+    run_line = np.searchsorted(line_end, run_start)
+    runs = np.bincount(run_line, minlength=line_start.size)
+    odd = np.zeros(line_start.size, dtype=bool)
+    odd[np.searchsorted(line_end, np.flatnonzero(cls >= _CR))] = True
+    odd[run_line[run_len > _MAX_DIGITS]] = True
+    plain = (runs == 2) & ~odd
+
+    ids = np.zeros(run_start.size, dtype=np.int64)
+    for k in range(min(int(run_len.max(initial=0)), _MAX_DIGITS)):  # Horner
+        more = run_len > k
+        digit = buf[np.minimum(run_start + k, n - 1)] - ord("0")
+        np.multiply(ids, 10, out=ids, where=more)
+        np.add(ids, digit, out=ids, where=more)
+    keep = plain[run_line]
+    other = np.flatnonzero(~plain & ((runs > 0) | odd))
+    return ids[keep].reshape(-1, 2), run_line[keep][::2], line_start, line_end, other
+
+
+def _adjacency(m: int, *edge_blocks) -> np.ndarray:
+    """The m x m adjacency with an edge for every (u, v) row of the blocks.
+
+    Ids must lie in 0..m-1 with u != v. The blocks become int64 arrays only
+    once the matrix is allocated, so an id too large for int64 is reported
+    as the allocation it would need.
+    """
+    try:
+        adj = np.zeros((m, m), dtype=bool)
+    except (MemoryError, ValueError) as exc:
+        raise EdgeListError(
+            f"cannot allocate the adjacency of m={m} nodes ({m * m} bytes)"
+        ) from exc
+    for block in edge_blocks:
+        uv = np.asarray(block, dtype=np.int64).reshape(-1, 2)
+        adj[uv[:, 0], uv[:, 1]] = True
+        adj[uv[:, 1], uv[:, 0]] = True
+    return adj
+
+
 def load_edge_list(path, indexing: str = "zero-based") -> Graph:
     """Parse a whitespace-separated edge list into a Graph.
 
     One edge per line; blank lines and `#` comments are skipped. A header line
     `%nodes N` pins the node count (otherwise m = max id + 1 after index
-    adjustment). Self-loops are dropped and duplicate edges merged; both are
-    counted in the attached LoadReport and logged. A third column means
-    weighted input, which is rejected.
+    adjustment); the last header wins. Self-loops are dropped and duplicate
+    edges merged; both are counted in the attached LoadReport and logged. A
+    third column means weighted input, which is rejected.
+
+    Lines of two plain digit runs are parsed as arrays; every other line goes
+    through the per-line code below, in file order, so the first bad line is
+    the one reported whichever kind it is.
     """
     if indexing not in ("zero-based", "one-based"):
         raise EdgeListError(f"unknown indexing {indexing!r}")
     shift = 1 if indexing == "one-based" else 0
 
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if not data.isascii():
+            # a text-mode read rejects invalid UTF-8 before any line is parsed
+            with open(path, "r", encoding="utf-8") as fh:
+                fh.readlines()
     except OSError as exc:
         raise EdgeListError(f"cannot read edge list {path}: {exc}") from exc
+
+    bulk, bulk_line, line_start, line_end, other = _split_plain_lines(data)
+    bulk -= shift
+    negative = bulk_line[(bulk < 0).any(axis=1)]
+    stop = int(negative[0]) if negative.size else line_start.size
 
     declared_m = None
     pairs = []
     loops = 0
-    for lineno, raw in enumerate(lines, start=1):
+    for i in other[other < stop].tolist():
+        lineno = i + 1
+        raw = data[line_start[i]:line_end[i]].decode("utf-8")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -156,27 +242,30 @@ def load_edge_list(path, indexing: str = "zero-based") -> Graph:
         if u == v:
             loops += 1
             continue
-        pairs.append((min(u, v), max(u, v)))
+        pairs.append((u, v))
+    if negative.size:
+        raise EdgeListError(f"line {stop + 1}: negative node id after indexing shift")
 
-    if not pairs and declared_m is None:
+    loop = bulk[:, 0] == bulk[:, 1]
+    loops += int(np.count_nonzero(loop))
+    bulk = bulk[~loop]
+    n_pairs = len(bulk) + len(pairs)
+    if not n_pairs and declared_m is None:
         raise EdgeListError(f"{path}: no edges and no %nodes header")
-    max_id = max((max(p) for p in pairs), default=-1)
+    max_id = max(int(bulk.max(initial=-1)), max((max(p) for p in pairs), default=-1))
     m = declared_m if declared_m is not None else max_id + 1
     if declared_m is not None and max_id >= declared_m:
         raise EdgeListError(f"node id {max_id} exceeds declared %nodes {declared_m}")
     if m < 2:
         raise EdgeListError(f"resulting graph has m={m} < 2 nodes")
 
-    unique = sorted(set(pairs))
+    adj = _adjacency(m, bulk, pairs)
+    edges_kept = int(np.count_nonzero(adj)) // 2  # symmetric, empty diagonal
     report = LoadReport(
-        edges_kept=len(unique),
+        edges_kept=edges_kept,
         self_loops_dropped=loops,
-        duplicates_merged=len(pairs) - len(unique),
+        duplicates_merged=n_pairs - edges_kept,
     )
-    adj = np.zeros((m, m), dtype=bool)
-    for u, v in unique:
-        adj[u, v] = True
-        adj[v, u] = True
     logger.info(
         "loaded %s: m=%d kept=%d loops_dropped=%d dups_merged=%d",
         path, m, report.edges_kept, report.self_loops_dropped, report.duplicates_merged,

@@ -11,7 +11,6 @@ metadata, keeping reruns byte-identical.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import os
@@ -23,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import __version__ as _pkg_version
+from ..csvout import write_csv
 from ..edgeworth import combine, cornish_fisher, norm_cdf, norm_quantile, smoothing_noise, summarize
 from ..hashdb import HashDb, hash_network, query
 from ..inference import interval_from_quantiles, scaled_discrepancy, two_sample_test
@@ -607,14 +607,6 @@ def run_experiment(kind: str, cfg) -> SimResult:
     # stripped from stable output; the sidecar keeps it as wall_time_s
     result.meta["__wall_time_s"] = time.perf_counter() - start
     return result
-
-
-def write_csv(rows: list, fh) -> None:
-    """Write dict rows as CSV to a text handle, columns in first-seen key order."""
-    fields = dict.fromkeys(k for row in rows for k in row)
-    writer = csv.DictWriter(fh, fieldnames=list(fields))
-    writer.writeheader()
-    writer.writerows(rows)
 
 
 def write_outputs(result: SimResult, csv_path) -> None:

@@ -5,10 +5,12 @@ transcribing the estimator formulas one line at a time, with no shared code
 or vectorization tricks from the package under test. Keep it slow and
 obvious; it is the ground truth the fast paths are checked against.
 
-The one exception is `frozen_summary`, a fixed numpy copy of the dense
-summary pipeline (census closed forms, projections, pair matrices and the
-reductions) in its original operation order. It pins the package's summary
-bit for bit while the package reuses buffers in place.
+There are two exceptions. `frozen_summary` is a fixed numpy copy of the
+dense summary pipeline (census closed forms, projections, pair matrices and
+the reductions) in its original operation order. It pins the package's
+summary bit for bit while the package reuses buffers in place.
+`frozen_load_edge_list` is the line-by-line edge-list loader that the array
+parser replaced, kept to pin its graphs, reports and error messages.
 """
 
 import itertools
@@ -16,6 +18,8 @@ import math
 from math import comb, erfc, sqrt, pi, exp
 
 import numpy as np
+
+from netmoment.graph import EdgeListError, Graph, LoadReport
 
 
 def brute_h(sub_rows, motif_edges, r):
@@ -256,6 +260,77 @@ def frozen_summary(graph, motif_name):
         "e_a4_a1": float(alpha4.sum(axis=0) @ alpha1) / pairs,
         "e_a1a1a2": float((alpha2 * np.outer(alpha1, alpha1)).sum()) / pairs,
     }
+
+
+def frozen_load_edge_list(path, indexing="zero-based"):
+    """The line-by-line edge-list loader, as it was before the array parser.
+    Change nothing here: its graph, LoadReport and exception messages are
+    what `load_edge_list` must reproduce."""
+    if indexing not in ("zero-based", "one-based"):
+        raise EdgeListError(f"unknown indexing {indexing!r}")
+    shift = 1 if indexing == "one-based" else 0
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise EdgeListError(f"cannot read edge list {path}: {exc}") from exc
+
+    declared_m = None
+    pairs = []
+    loops = 0
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("%"):
+            tokens = line[1:].split()
+            if len(tokens) == 2 and tokens[0].lower() == "nodes":
+                try:
+                    declared_m = int(tokens[1])
+                except ValueError as exc:
+                    raise EdgeListError(f"line {lineno}: bad %nodes header") from exc
+                continue
+            raise EdgeListError(f"line {lineno}: unknown directive {line!r}")
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise EdgeListError(
+                f"line {lineno}: expected two integer node ids, got {len(tokens)} "
+                "tokens (weighted edge lists are not supported)"
+            )
+        try:
+            u, v = int(tokens[0]), int(tokens[1])
+        except ValueError as exc:
+            raise EdgeListError(f"line {lineno}: non-integer token") from exc
+        u -= shift
+        v -= shift
+        if u < 0 or v < 0:
+            raise EdgeListError(f"line {lineno}: negative node id after indexing shift")
+        if u == v:
+            loops += 1
+            continue
+        pairs.append((min(u, v), max(u, v)))
+
+    if not pairs and declared_m is None:
+        raise EdgeListError(f"{path}: no edges and no %nodes header")
+    max_id = max((max(p) for p in pairs), default=-1)
+    m = declared_m if declared_m is not None else max_id + 1
+    if declared_m is not None and max_id >= declared_m:
+        raise EdgeListError(f"node id {max_id} exceeds declared %nodes {declared_m}")
+    if m < 2:
+        raise EdgeListError(f"resulting graph has m={m} < 2 nodes")
+
+    unique = sorted(set(pairs))
+    report = LoadReport(
+        edges_kept=len(unique),
+        self_loops_dropped=loops,
+        duplicates_merged=len(pairs) - len(unique),
+    )
+    adj = np.zeros((m, m), dtype=bool)
+    for u, v in unique:
+        adj[u, v] = True
+        adj[v, u] = True
+    return Graph(adj, load_report=report)
 
 
 def phi_cdf(u):

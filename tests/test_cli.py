@@ -187,6 +187,23 @@ def test_data_error_exit_1(capsys, tmp_path):
     assert payload["kind"] == "data"
 
 
+@pytest.mark.parametrize("content", ["0 1\n1 100000000\n", "%nodes 100000000\n0 1\n"])
+def test_oversized_node_count_is_data_error(capsys, tmp_path, content):
+    # 10**16 bytes exceed any 64-bit user address space, so allocation fails at once
+    edges = tmp_path / "edges.txt"
+    edges.write_text(content)
+    code, out, err = run_cli(
+        capsys, "hash", "--input", str(edges), "--motifs", "triangle", "--id", "a",
+        "--out", str(tmp_path / "db.ndjson"), "--seed", "1",
+    )
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err.splitlines()[-1])
+    assert payload["kind"] == "data"
+    assert "bytes" in payload["error"]
+    assert not (tmp_path / "db.ndjson").exists()
+
+
 def test_corrupt_db_exit_1(capsys, tmp_path, two_files):
     a, _ = two_files
     db = tmp_path / "bad.ndjson"
@@ -304,15 +321,26 @@ def test_query_never_touches_adjacency_after_hashing(capsys, tmp_path, two_files
     assert json.loads(out)["hits"]
 
 
-@pytest.mark.parametrize("module", ["netmoment", "netmoment.cli"])
-def test_import_leaves_scipy_and_harness_unloaded(module):
-    # only `ci` and `simulate` need scipy, and only `simulate` needs the harness
+HASH_CSV = "netmoment.cli; assert netmoment.cli.main(sys.argv[1:]) == 0"
+
+
+@pytest.mark.parametrize(
+    "module", ["netmoment", "netmoment.cli", pytest.param(HASH_CSV, id="hash-csv")],
+)
+def test_import_leaves_scipy_and_harness_unloaded(module, tmp_path):
+    # only `ci` and `simulate` need scipy, and only `simulate` needs the harness;
+    # the hash-csv case also runs `hash --format csv`
+    edges = tmp_path / "edges.txt"
+    nm.save_edge_list(random_graph(12, 0.5, spawn_rng(3, "csv-import")), edges)
+    argv = ["hash", "--input", str(edges), "--motifs", "triangle", "--id", "a",
+            "--out", str(tmp_path / "db.ndjson"), "--seed", "1", "--format", "csv"]
     src = str(Path(nm.__file__).resolve().parent.parent)
     code = (f"import sys, {module}; "
             "print([m for m in ('scipy.special', 'scipy.stats', "
             "'netmoment.sim.experiments', 'concurrent.futures.process') "
             "if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines()[-1] == "[]"
+    assert ("network_id" in out) == (module == HASH_CSV)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import netmoment as nm
 from netmoment.graph import EdgeListError
 from netmoment.rng import spawn_rng
 
 from conftest import random_graph
+from oracles import frozen_load_edge_list
 
 
 def write(tmp_path, text, name="edges.txt"):
@@ -54,6 +57,59 @@ def test_load_header_conflict(tmp_path):
 def test_load_rejects_bad_input(tmp_path, content):
     with pytest.raises(EdgeListError):
         nm.load_edge_list(write(tmp_path, content))
+
+
+@pytest.mark.parametrize("content", ["0 1\n1 100000000\n", "%nodes 100000000\n0 1\n"])
+def test_load_oversized_node_count(tmp_path, content):
+    # 10**16 bytes exceed any 64-bit user address space, so allocation fails at once
+    with pytest.raises(EdgeListError, match=r"m=1000000\d\d .*\d+ bytes"):
+        nm.load_edge_list(write(tmp_path, content))
+
+
+_ID = st.integers(0, 60)
+_BLANK = st.sampled_from([" ", "\t", "\v", "\f", "  ", " \t"])
+_EDGE = st.builds("{}{}{}{}{}".format, st.sampled_from(["", " ", "\t"]), _ID, _BLANK, _ID,
+                  st.sampled_from(["", " ", "\f"]))
+_ODD_ID = _ID.map(str) | st.sampled_from(
+    ["+5", "1_0", "007", "-3", "\u0663", "\ufeff4", "0" * 20 + "7"])
+# plain pairs are weighted up so that about a third of the files load without error
+_LINE_KINDS = [_EDGE] * 10 + [
+    st.builds("{}{}{}".format, _ODD_ID, st.sampled_from([" ", "\xa0", "\x1c"]), _ODD_ID),
+    st.builds("{} {} # trailing {}".format, _ID, _ID, _ID),
+    st.sampled_from(["# comment 1 2", "#", "", "   ", "\t"]),
+    st.sampled_from(["%nodes 61", "%NODES 45", "% nodes 61", "%nodes 30"]),
+    st.sampled_from(["%nodes x", "%nodes", "%nodes 1", "%edges 3", "%"]),
+    st.sampled_from(["5", "1 2 3", "0 1 0.5"]),
+    _ID.map(lambda a: f"{a} {a}"),
+]
+
+
+@st.composite
+def edge_list_text(draw):
+    lines = draw(st.lists(st.one_of(*_LINE_KINDS), max_size=16))
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+def _outcome(load, path, indexing):
+    try:
+        g = load(path, indexing=indexing)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return g.m, g.adj.tobytes(), g.load_report
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=edge_list_text())
+def test_load_matches_frozen_line_by_line_loader(tmp_path, text):
+    path = tmp_path / "edges.txt"
+    path.write_bytes(text.encode("utf-8"))
+    for indexing in ("zero-based", "one-based"):
+        assert _outcome(nm.load_edge_list, path, indexing) == \
+            _outcome(frozen_load_edge_list, path, indexing)
 
 
 def test_load_missing_file(tmp_path):
