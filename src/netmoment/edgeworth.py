@@ -4,7 +4,9 @@
 pairwise comparison needs: the sparsity-scaled moment ingredients, the
 first-order influence values alpha1 and their bias/skewness-style companion
 terms (alpha0, alpha3 per node, alpha2/alpha4 per pair), folded into the
-empirical expectations that drive the expansion coefficients. All population
+empirical expectations that drive the expansion coefficients. The per-pair
+terms are built a block of rows at a time and reduced at once, in numpy's
+own summation order. All population
 quantities are replaced by their plug-in estimates. `combine` then turns two
 summaries into the studentizer S and the three correction coefficients
 (I0, Q1, Q2) of the expanded CDF
@@ -28,10 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .motif import Motif, moment_census
+from .motif import Motif, _zero_diagonal, moment_census
 from .projections import (
     DegenerateGraphError,
     ProjectionSet,
+    _mean,
     g2_matrix,
     grho2_matrix,
     project,
@@ -134,16 +137,45 @@ class EdgeworthCoeffs:
         return self.Q1 + self.Q2 * (u * u + 1.0) + self.I0
 
 
+# Pair terms are built one subtree of numpy's pairwise summation at a time,
+# each of at most _LEAF pairs, so the working memory of `summarize` is
+# O(_LEAF + m). It must be at least 128, numpy's own leaf, so that np.sum over
+# the subtree's slice gives the subtree's bits. 2^15 to 2^17 tie for the
+# fastest triangle + vshape summary of a sparse (m = 1500) and a dense
+# (m = 1000) graph, 2 vCPUs and one BLAS thread; 2^12 is twice as slow.
+_LEAF = 1 << 16
+
+
+def _pairwise_sum(start: int, n: int, leaf_sum) -> float:
+    """numpy's pairwise sum of n elements from `start`, leaves by `leaf_sum`.
+
+    numpy sums a contiguous array of n > 128 elements as the sum of its first
+    n // 2 elements, rounded down to a multiple of 8, plus the sum of the
+    rest. This descends that tree to subtrees of at most _LEAF elements,
+    calls leaf_sum(start, stop) on each, left to right, and adds the results
+    as numpy would.
+    """
+    if n <= _LEAF:
+        return leaf_sum(start, start + n)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(start, half, leaf_sum) + _pairwise_sum(start + half, n - half, leaf_sum)
+
+
 def summarize(g: Graph, motif: Motif, network_id: str = "") -> NetworkSummary:
     """Hash one network into its motif summary vector.
 
     Every population symbol in the correction-term formulas is replaced by
-    its plug-in estimate; pairwise terms are evaluated on full matrices and
-    reduced immediately, so nothing quadratic in m is retained.
+    its plug-in estimate. Pairwise terms are built a block of rows at a time
+    and reduced at once, so no m x m float array is ever alive; the blocks
+    follow numpy's summation order, so the result has the bits of a sum over
+    the full matrices.
     """
     if g.m < motif.r + 1:
         raise DegenerateGraphError(f"m={g.m} too small for motif r={motif.r}")
-    census = moment_census(g, motif, want_pairs=True)
+    m = g.m
+    # a graph of one leaf gets its pair averages with the census
+    census = moment_census(g, motif, want_pairs=m * m <= _LEAF)
     ps = project(g, motif, _census=census)
     rho = ps.rho_hat
     if rho >= 1.0:
@@ -179,10 +211,6 @@ def summarize(g: Graph, motif: Motif, network_id: str = "") -> NetworkSummary:
                 )
             )
 
-            gm2 = g2_matrix(g, motif, ps, _census=census)
-            del census  # its pair_avgs are folded into gm2
-            grm2 = grho2_matrix(g, ps)
-
             # alpha4 and alpha2 are asymmetric (the row index is the first
             # argument of the pair function):
             #   alpha4_ij = 2 r^2 (r-1) rho^-2s g1_i g2_ij
@@ -192,54 +220,70 @@ def summarize(g: Graph, motif: Motif, network_id: str = "") -> NetworkSummary:
             #   alpha2_ij = r (r-1)/2 rho^-s g2_ij - s rho^-(s+1) u grho2_ij
             #             + 2 s (s+1) rho^-(s+2) u grho1_i grho1_j
             #             - 2 r s rho^-(s+1) grho1_i g1_j
-            # Each is summed term by term, in this order, into one buffer and
-            # reduced before the next is built, so at most four m x m arrays
-            # are alive: gm2, grm2, acc and term.
-            acc = np.empty_like(gm2)
-            term = np.empty_like(gm2)
+            # Each is summed term by term, in this order, into one buffer.
+            # e_a4_a1 averages over ordered pairs with alpha1 attached to the
+            # second argument, from the column sums of alpha4; e_a1a1a2 sums
+            # alpha1_i alpha1_j alpha2_ij over all m^2 cells.
+            colsum = None  # alpha4 column sums over rows 0..done-1
+            done = 0
 
-            np.multiply(g1[:, None], gm2, out=acc)
-            acc *= 2.0 * r * r * (r - 1) * rp[2 * s]
-            np.multiply(grho1[:, None], grm2, out=term)
-            term *= 8.0 * s * s * rp[2 * s + 2] * u_hat * u_hat
-            acc += term
-            np.multiply(grho1[:, None], gm2, out=term)
-            term *= 4.0 * r * (r - 1) * s * rp[2 * s + 1] * u_hat
-            acc -= term
-            np.multiply(g1[:, None], grm2, out=term)
-            term *= 4.0 * r * s * rp[2 * s + 1] * u_hat
-            acc -= term
-            np.fill_diagonal(acc, 0.0)  # acc = alpha4
-            m = g.m
+            def leaf_sum(start: int, stop: int) -> float:
+                nonlocal colsum, done
+                lo, hi = start // m, -(-stop // m)  # the rows the cells touch
+                gm2 = g2_matrix(g, motif, ps, lo, hi, _census=census)
+                grm2 = grho2_matrix(g, ps, lo, hi)
+                g1_i, grho1_i = g1[lo:hi, None], grho1[lo:hi, None]
+
+                acc = np.multiply(g1_i, gm2)
+                acc *= 2.0 * r * r * (r - 1) * rp[2 * s]
+                term = np.multiply(grho1_i, grm2)
+                term *= 8.0 * s * s * rp[2 * s + 2] * u_hat * u_hat
+                acc += term
+                np.multiply(grho1_i, gm2, out=term)
+                term *= 4.0 * r * (r - 1) * s * rp[2 * s + 1] * u_hat
+                acc -= term
+                np.multiply(g1_i, grm2, out=term)
+                term *= 4.0 * r * s * rp[2 * s + 1] * u_hat
+                acc -= term
+                _zero_diagonal(acc, lo)  # acc = alpha4
+                # numpy's axis-0 sum adds one row at a time, so adding each
+                # new row in turn keeps its bits; a row shared with the
+                # previous leaf is already in
+                if colsum is None:
+                    colsum = acc.sum(axis=0)
+                else:
+                    for row in acc[done - lo:]:
+                        colsum += row
+                done = hi
+
+                np.multiply(gm2, 0.5 * r * (r - 1) * rp[s], out=acc)
+                np.multiply(grm2, s * rp[s + 1] * u_hat, out=term)
+                acc -= term
+                np.multiply(grho1_i, grho1[None, :], out=term)
+                term *= 2.0 * s * (s + 1) * rp[s + 2] * u_hat
+                acc += term
+                np.multiply(grho1_i, g1[None, :], out=term)
+                term *= 2.0 * r * s * rp[s + 1]
+                acc -= term
+                _zero_diagonal(acc, lo)  # acc = alpha2
+                np.multiply(alpha1[lo:hi, None], alpha1[None, :], out=term)
+                term *= acc
+                return float(np.sum(term.reshape(-1)[start - lo * m:stop - lo * m]))
+
             pairs = m * (m - 1)
-            # average over ordered pairs with alpha1 attached to the second
-            # argument
-            e_a4_a1 = float(acc.sum(axis=0) @ alpha1) / pairs
+            e_a1a1a2 = _pairwise_sum(0, m * m, leaf_sum) / pairs
+            e_a4_a1 = float(colsum @ alpha1) / pairs
 
-            np.multiply(gm2, 0.5 * r * (r - 1) * rp[s], out=acc)
-            np.multiply(grm2, s * rp[s + 1] * u_hat, out=term)
-            acc -= term
-            np.multiply(grho1[:, None], grho1[None, :], out=term)
-            term *= 2.0 * s * (s + 1) * rp[s + 2] * u_hat
-            acc += term
-            np.multiply(grho1[:, None], g1[None, :], out=term)
-            term *= 2.0 * r * s * rp[s + 1]
-            acc -= term
-            np.fill_diagonal(acc, 0.0)  # acc = alpha2
-            np.multiply(alpha1[:, None], alpha1[None, :], out=term)
-            term *= acc
-            e_a1a1a2 = float(term.sum()) / pairs
-
-            e_a1_cubed = float(np.mean(alpha1 ** 3))
-            e_a1_a3 = float(np.mean(alpha1 * alpha3))
-            xi_alpha1_sq = float(np.mean(alpha1 * alpha1))
+            e_a1_cubed = _mean(alpha1 ** 3)
+            e_a1_a3 = _mean(alpha1 * alpha3)
+            xi_alpha1_sq = _mean(alpha1 * alpha1)
             # alpha1 is a difference of two terms; when they cancel exactly
             # (edge motif: the scaled moment is the constant 1) the residual
             # variance is pure floating-point noise, so snap it to zero and
             # let the pairwise degeneracy gate reject the summary cleanly
-            cancel_floor = 1e-26 * float(
-                np.mean((r * rp[s] * g1) ** 2)
-                + np.mean((2.0 * s * rp[s + 1] * u_hat * grho1) ** 2)
+            cancel_floor = 1e-26 * (
+                _mean((r * rp[s] * g1) ** 2)
+                + _mean((2.0 * s * rp[s + 1] * u_hat * grho1) ** 2)
             )
             if xi_alpha1_sq <= cancel_floor:
                 xi_alpha1_sq = 0.0

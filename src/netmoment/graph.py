@@ -34,10 +34,11 @@ class Graph:
 
     `adj` is an (m, m) boolean array, symmetric with a false diagonal. The
     array is frozen (writeable=False) after construction; treat the whole
-    object as immutable.
+    object as immutable. Values derived from `adj` are cached on first use:
+    `degrees`, and the A @ A node pass of the motif census (`_two_walks`).
     """
 
-    __slots__ = ("adj", "m", "load_report", "_degrees")
+    __slots__ = ("adj", "m", "load_report", "_degrees", "_two_walks")
 
     def __init__(self, adj: np.ndarray, load_report: LoadReport | None = None):
         adj = np.asarray(adj, dtype=bool)
@@ -55,6 +56,7 @@ class Graph:
         self.m = adj.shape[0]
         self.load_report = load_report
         self._degrees = None
+        self._two_walks = None
 
     @property
     def degrees(self) -> np.ndarray:
@@ -102,9 +104,10 @@ def permute(g: Graph, pi) -> Graph:
 
 
 # Byte classes of the bulk parser. Blanks (space, \t, \v, \f) separate
-# tokens as str.split() does. A lone "\r" becomes a line feed; any other byte
-# of class _CR or above, such as the "\r" of "\r\n", "#", "%", "+", "-", "_",
-# \x1c-\x1f or a non-ASCII byte, sends its line to the per-line parser.
+# tokens as str.split() does. The "\r" of "\r\n" becomes a blank and a lone
+# "\r" a line feed; any other byte of class _CR or above, such as "#", "%",
+# "+", "-", "_", \x1c-\x1f or a non-ASCII byte, sends its line to the
+# per-line parser.
 _BLANK, _DIGIT, _LF, _CR, _OTHER = range(5)
 _BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
 _BYTE_CLASS[[ord(" "), ord("\t"), ord("\v"), ord("\f")]] = _BLANK
@@ -127,7 +130,9 @@ def _split_plain_lines(data: bytes):
     n = buf.size
     cls = _BYTE_CLASS[buf]
     cr = np.flatnonzero(cls == _CR)
-    cls[cr[buf[np.minimum(cr + 1, n - 1)] != ord("\n")]] = _LF
+    crlf = buf[np.minimum(cr + 1, n - 1)] == ord("\n")
+    cls[cr[crlf]] = _BLANK
+    cls[cr[~crlf]] = _LF
     line_end = np.flatnonzero(cls == _LF)
     line_start = np.concatenate(([0], line_end + 1))
     line_end = np.append(line_end, n)

@@ -7,7 +7,7 @@ contains a vshape). The whole-graph moment is the average of h over all
 C(m, r) node subsets; per-node and per-pair restricted averages feed the
 Hoeffding-style projections.
 
-Edge, vshape and triangle get closed-form O(m^3)-at-worst matrix paths,
+Edge, vshape and triangle get closed forms built on the exact rows of A @ A,
 chosen by shape (r, s), never by name: a connected motif on at most three
 nodes is fixed up to isomorphism by its node and edge counts. Every other
 shape takes the generic path, which enumerates subsets and is meant for small
@@ -135,9 +135,95 @@ def contains_motif(sub: np.ndarray, motif: Motif) -> int:
     return 0
 
 
+# A node-pass block holds at most this many pairs of A @ A; a graph with
+# m * m <= _BLOCK keeps its whole product, so its passes share one product.
+_BLOCK = 1 << 16
+# Rows of A @ A come from CSR when sum_k d_k^2 < m^3 / _SPARSE_RATIO and from
+# float32 BLAS otherwise. On random graphs (2 vCPUs, one BLAS thread) the two
+# cost the same near sum d^2 / m^3 = 0.0025 at m = 1000 and 0.003 at m = 1600
+# (density 0.05-0.06); at m = 400 both take at most 8 ms.
+_SPARSE_RATIO = 400
+
+
+class _TwoWalks:
+    """Exact rows of A @ A, and the per-node counts read off every row once.
+
+    Entry (i, j) of A @ A counts the walks i - k - j: the common neighbours
+    of i and j off the diagonal, the degree on it. Both methods give exact
+    integers: CSR expands each row's walks with `repeat` and counts them with
+    `bincount` (sum_k d_k^2 work in all), and float32 BLAS multiplies 0/1
+    values whose partial sums stay below m < 2^24. Rows come back as float64.
+
+    The node pass reduces the rows in blocks of at most _BLOCK pairs:
+    `tri_per_node` is the per-row sum of A @ A * A over two, the triangles
+    through each node, and `cherry_ends` is A @ (d - 1), the per-row sum of
+    A @ A minus the degree. Both are exact integers.
+    """
+
+    def __init__(self, g: Graph, sparse: bool):
+        adj, m = g.adj, g.m
+        self._m = m
+        self._full = None
+        if sparse:
+            self._a32 = None
+            self._nbr = np.nonzero(adj)[1]  # row-major, so grouped by row
+            self._start = np.zeros(m + 1, dtype=np.int64)
+            np.cumsum(g.degrees, out=self._start[1:])
+        else:
+            self._a32 = adj.astype(np.float32)
+        tri2 = np.empty(m)
+        walks = np.empty(m)
+        step = max(1, _BLOCK // m)
+        for lo in range(0, m, step):
+            hi = min(lo + step, m)
+            n2 = self.rows(lo, hi)
+            tri2[lo:hi] = (n2 * adj[lo:hi]).sum(axis=1)
+            walks[lo:hi] = n2.sum(axis=1)
+        if step >= m:
+            n2.setflags(write=False)
+            self._full = n2
+        self.tri_per_node = tri2 / 2.0
+        self.cherry_ends = walks - g.degrees
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo:hi of A @ A as float64; read-only when cached."""
+        if self._full is not None:
+            return self._full[lo:hi]
+        if self._a32 is not None:
+            return (self._a32[lo:hi] @ self._a32).astype(np.float64)
+        m, start, nbr = self._m, self._start, self._nbr
+        mid = nbr[start[lo]:start[hi]]  # k of every walk i - k - j, by row
+        first = start[mid]
+        count = start[mid + 1] - first  # the d_k walks through each k
+        owner = np.repeat(np.arange(hi - lo) * m, np.diff(start[lo:hi + 1]))
+        ends = np.cumsum(count)
+        pos = np.arange(ends[-1] if ends.size else 0)
+        pos += np.repeat(first - (ends - count), count)
+        cell = np.repeat(owner, count) + nbr[pos]
+        counts = np.bincount(cell, minlength=(hi - lo) * m)
+        return counts.reshape(hi - lo, m).astype(np.float64)
+
+
+def _two_walks(g: Graph) -> _TwoWalks:
+    """The graph's `_TwoWalks`, built on first use and cached on the graph."""
+    if g._two_walks is None:
+        d = g.degrees
+        g._two_walks = _TwoWalks(g, sparse=int(d @ d) * _SPARSE_RATIO < g.m ** 3)
+    return g._two_walks
+
+
+def _zero_diagonal(block: np.ndarray, lo: int) -> None:
+    """Zero the diagonal cells of `block`, rows lo:lo+k of an m-column matrix.
+
+    Cell (i, lo + i) sits at flat offset lo + i * (m + 1); `block` must be
+    C-contiguous, so that the flat view writes through.
+    """
+    block.reshape(-1)[lo::block.shape[1] + 1] = 0.0
+
+
 @dataclass(frozen=True)
 class MomentCensus:
-    """One pass of whole-graph / per-node / per-pair restricted averages."""
+    """Whole-graph and per-node restricted averages, and optionally per-pair."""
 
     u_hat: float
     node_avgs: np.ndarray
@@ -147,63 +233,68 @@ class MomentCensus:
 def moment_census(g: Graph, motif: Motif, want_pairs: bool = False) -> MomentCensus:
     """Compute u_hat and the per-node (optionally per-pair) averages together.
 
-    Sharing the common-neighbor matrix across all three levels keeps summary
-    construction at one A @ A per graph for the r=3 closed forms. The closed
-    form is picked by the motif's shape (r, s), whatever its name.
+    The r = 3 closed forms read the graph's node pass over A @ A, which runs
+    once per graph whatever the motif; the full pair matrix is
+    `pair_avg_rows` over all rows. The closed form is picked by the motif's
+    shape (r, s), whatever its name.
     """
     m = g.m
     if m < motif.r:
         raise ValueError(f"graph has m={m} < r={motif.r} nodes")
     node_denom = comb(m - 1, motif.r - 1)
-    pair_denom = comb(m - 2, motif.r - 2)
     shape = (motif.r, motif.s)
-    if shape in ((3, 2), (3, 3)):
-        a = g.adj.astype(np.float64)
-        # A @ A on a 0/1 float matrix: every partial product is 0 or 1 and
-        # every partial sum stays below 2^53, so the counts are exact integers
-        # in float64 regardless of BLAS blocking order
-        n2 = a @ a  # common neighbours per pair
-        n2_on_edges = n2 * g.adj  # triangles through each edge
-        tri_per_node = n2_on_edges.sum(axis=1) / 2.0
-        tri_total = tri_per_node.sum() / 3.0
+    pair_avgs = None
     if motif.r == 2:  # edge
         u_hat = density(g)
         node_avgs = g.degrees / float(m - 1)
-        pair_avgs = g.adj.astype(np.float64) if want_pairs else None
-    elif shape == (3, 3):  # triangle
-        u_hat = float(tri_total) / comb(m, 3)
-        node_avgs = tri_per_node / node_denom
-        if want_pairs:
-            n2_on_edges /= pair_denom
-            pair_avgs = n2_on_edges
-        else:
-            pair_avgs = None
-    elif shape == (3, 2):  # vshape
-        d = g.degrees.astype(np.float64)
-        centred = d * (d - 1) / 2.0  # vshapes centred at each node
-        hits = centred.sum() - 2.0 * tri_total
-        u_hat = float(hits) / comb(m, 3)
-        # cherries through i: pairs of i's neighbours plus paths centred at a
-        # neighbour; subtract twice the triangles to fix the >=2-edge overcount
-        cherries = centred + a @ (d - 1)
-        node_avgs = (cherries - 2.0 * tri_per_node) / node_denom
-        if want_pairs:
-            # on an edge the pair's count is d_i + d_j - 2 - n2, off it n2;
-            # built in n2, which nothing reads after this
-            with_edge = d[:, None] + d[None, :] - 2.0 - n2
-            np.copyto(n2, with_edge, where=g.adj)
-            n2 /= pair_denom
-            pair_avgs = n2
-        else:
-            pair_avgs = None
+    elif shape in ((3, 2), (3, 3)):
+        walks = _two_walks(g)
+        tri_per_node = walks.tri_per_node
+        tri_total = tri_per_node.sum() / 3.0
+        if shape == (3, 3):  # triangle
+            u_hat = float(tri_total) / comb(m, 3)
+            node_avgs = tri_per_node / node_denom
+        else:  # vshape
+            d = g.degrees.astype(np.float64)
+            centred = d * (d - 1) / 2.0  # vshapes centred at each node
+            hits = centred.sum() - 2.0 * tri_total
+            u_hat = float(hits) / comb(m, 3)
+            # cherries through i: pairs of i's neighbours plus paths centred
+            # at a neighbour; subtract twice the triangles to fix the
+            # >=2-edge overcount
+            cherries = centred + walks.cherry_ends
+            node_avgs = (cherries - 2.0 * tri_per_node) / node_denom
     else:
         total, node_counts, pair_counts = _subset_census(g, motif, want_pairs)
         u_hat = total / comb(m, motif.r)
         node_avgs = node_counts / node_denom
-        pair_avgs = pair_counts / pair_denom if want_pairs else None
-    if pair_avgs is not None:
-        np.fill_diagonal(pair_avgs, 0.0)
+        if want_pairs:
+            pair_avgs = pair_counts / comb(m - 2, motif.r - 2)
+    if want_pairs and pair_avgs is None:
+        pair_avgs = pair_avg_rows(g, motif, 0, m)
     return MomentCensus(u_hat=u_hat, node_avgs=node_avgs, pair_avgs=pair_avgs)
+
+
+def pair_avg_rows(g: Graph, motif: Motif, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of the pair-restricted averages, diagonal zeroed."""
+    pair_denom = comb(g.m - 2, motif.r - 2)
+    shape = (motif.r, motif.s)
+    adj = g.adj[lo:hi]
+    if motif.r == 2:  # edge
+        out = adj.astype(np.float64)
+    elif shape == (3, 3):  # triangle: the common neighbours of an edge
+        out = _two_walks(g).rows(lo, hi) * adj
+        out /= pair_denom
+    elif shape == (3, 2):  # vshape: d_i + d_j - 2 - n2 on an edge, n2 off it
+        n2 = _two_walks(g).rows(lo, hi)
+        d = g.degrees.astype(np.float64)
+        out = d[lo:hi, None] + d[None, :] - 2.0 - n2
+        np.copyto(out, n2, where=~adj)
+        out /= pair_denom
+    else:
+        out = _subset_census(g, motif, want_pairs=True)[2][lo:hi] / pair_denom
+    _zero_diagonal(out, lo)
+    return out
 
 
 def moment_u(g: Graph, motif: Motif) -> float:

@@ -7,9 +7,9 @@ For one network the first-order projections are
 
 with variance/covariance scalars taken as plain means of their products.
 Second-order values subtract both first-order terms and the grand mean from
-the pair-restricted averages; they are never stored per ProjectionSet but
-built as full matrices inside the summary builder, which reduces them at
-once.
+the pair-restricted averages; they are never stored per ProjectionSet. The
+summary builder asks for them a few rows at a time and reduces each block
+before it builds the next.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph, density
-from .motif import Motif, MomentCensus, moment_census
+from .motif import Motif, MomentCensus, _zero_diagonal, moment_census, pair_avg_rows
 
 
 class DegenerateGraphError(ValueError):
@@ -39,6 +39,11 @@ class ProjectionSet:
     xi_A1_sq: float
     xi_rhoA1_sq: float
     xi_cross: float
+
+
+def _mean(x: np.ndarray) -> float:
+    """np.mean of a 1-D float64 array, bit for bit, without its overhead."""
+    return float(np.add.reduce(x) / x.size)
 
 
 def project(g: Graph, motif: Motif, _census: MomentCensus | None = None) -> ProjectionSet:
@@ -63,32 +68,40 @@ def project(g: Graph, motif: Motif, _census: MomentCensus | None = None) -> Proj
         rho_hat=rho,
         g1=g1,
         grho1=grho1,
-        xi_A1_sq=float(np.mean(g1 * g1)),
-        xi_rhoA1_sq=float(np.mean(grho1 * grho1)),
-        xi_cross=float(np.mean(g1 * grho1)),
+        xi_A1_sq=_mean(g1 * g1),
+        xi_rhoA1_sq=_mean(grho1 * grho1),
+        xi_cross=_mean(g1 * grho1),
     )
 
 
 def g2_matrix(
-    g: Graph, motif: Motif, ps: ProjectionSet, _census: MomentCensus | None = None
+    g: Graph, motif: Motif, ps: ProjectionSet, lo: int = 0, hi: int | None = None,
+    _census: MomentCensus | None = None,
 ) -> np.ndarray:
-    """All-pairs g2 values (diagonal zeroed); transient consumer-side buffer."""
-    census = _census
-    if census is None or census.pair_avgs is None:
-        census = moment_census(g, motif, want_pairs=True)
+    """Rows lo:hi (default all) of the g2 values, diagonal zeroed.
+
+    The pair averages are read from `_census` when it holds them, else built
+    for these rows only.
+    """
+    hi = g.m if hi is None else hi
+    if _census is not None and _census.pair_avgs is not None:
+        pair_avgs = _census.pair_avgs[lo:hi]
+    else:
+        pair_avgs = pair_avg_rows(g, motif, lo, hi)
     # pair_avgs - (g1_i + g1_j) - u_hat, evaluated in one buffer
-    out = np.add(ps.g1[:, None], ps.g1[None, :])
-    np.subtract(census.pair_avgs, out, out=out)
+    out = np.add(ps.g1[lo:hi, None], ps.g1[None, :])
+    np.subtract(pair_avgs, out, out=out)
     out -= ps.u_hat
-    np.fill_diagonal(out, 0.0)
+    _zero_diagonal(out, lo)
     return out
 
 
-def grho2_matrix(g: Graph, ps: ProjectionSet) -> np.ndarray:
-    """All-pairs grho2 values (diagonal zeroed)."""
+def grho2_matrix(g: Graph, ps: ProjectionSet, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Rows lo:hi (default all) of the grho2 values, diagonal zeroed."""
+    hi = g.m if hi is None else hi
     # A - (grho1_i + grho1_j) - rho_hat, with one temporary
-    out = g.adj.astype(np.float64)
-    out -= np.add(ps.grho1[:, None], ps.grho1[None, :])
+    out = g.adj[lo:hi].astype(np.float64)
+    out -= np.add(ps.grho1[lo:hi, None], ps.grho1[None, :])
     out -= ps.rho_hat
-    np.fill_diagonal(out, 0.0)
+    _zero_diagonal(out, lo)
     return out

@@ -336,7 +336,7 @@ def test_import_leaves_scipy_and_harness_unloaded(module, tmp_path):
             "--out", str(tmp_path / "db.ndjson"), "--seed", "1", "--format", "csv"]
     src = str(Path(nm.__file__).resolve().parent.parent)
     code = (f"import sys, {module}; "
-            "print([m for m in ('scipy.special', 'scipy.stats', "
+            "print([m for m in ('scipy.special', 'scipy.stats', 'scipy.sparse', "
             "'netmoment.sim.experiments', 'concurrent.futures.process') "
             "if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=src)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,20 @@ def coeffs(i0=0.0, q1=0.0, q2=0.0, s_val=1.0, m=100, n=100):
 def test_summarize_complete_graph_fails(k4):
     with pytest.raises(nm.DegenerateGraphError):
         nm.summarize(k4, nm.TRIANGLE)
+
+
+def test_summarize_memory_is_linear_in_m():
+    # m = 3000, mean degree about 30; one m x m float64 array would be 69 MiB
+    m = 3000
+    g = nm.Graph.from_edges(m, spawn_rng(3, "sparse-3000").integers(0, m, size=(45_000, 2)))
+    tracemalloc.start()
+    try:
+        for motif in (nm.TRIANGLE, nm.VSHAPE):
+            nm.summarize(g, motif)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_summarize_empty_fails(empty5):

@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import netmoment as nm
+from netmoment import graph
 from netmoment.graph import EdgeListError
 from netmoment.rng import spawn_rng
 
@@ -110,6 +111,17 @@ def test_load_matches_frozen_line_by_line_loader(tmp_path, text):
     for indexing in ("zero-based", "one-based"):
         assert _outcome(nm.load_edge_list, path, indexing) == \
             _outcome(frozen_load_edge_list, path, indexing)
+
+
+def test_crlf_list_loads_like_its_lf_twin(tmp_path):
+    lf = tmp_path / "lf.txt"
+    nm.save_edge_list(random_graph(1000, 0.05, spawn_rng(8, "crlf")), lf)
+    crlf = tmp_path / "crlf.txt"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    assert _outcome(nm.load_edge_list, crlf, "zero-based") == \
+        _outcome(nm.load_edge_list, lf, "zero-based")
+    # every line but the %nodes header is parsed as arrays
+    assert graph._split_plain_lines(crlf.read_bytes())[4].tolist() == [0]
 
 
 def test_load_missing_file(tmp_path):

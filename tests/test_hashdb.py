@@ -5,6 +5,7 @@ import logging
 import pytest
 
 import netmoment as nm
+from netmoment import motif
 from netmoment.edgeworth import SUMMARY_FIELDS
 from netmoment.hashdb import (
     DbFormatError,
@@ -23,6 +24,32 @@ def test_hash_p3_edge(p3):
     assert rec.n == 3
     assert rec.motifs() == ["edge"]
     assert rec.summaries["edge"].rho_hat == pytest.approx(2 / 3)
+
+
+def test_hash_network_runs_the_node_pass_once(monkeypatch):
+    # m * m > 2^16, so the product is not kept whole and each row range counts
+    adj = random_graph(300, 0.05, spawn_rng(4, "node-pass")).adj
+    calls = []
+    rows = motif._TwoWalks.rows
+
+    def counted(self, lo, hi):
+        calls.append((lo, hi))
+        return rows(self, lo, hi)
+
+    def product_calls(fn, *args):
+        calls.clear()
+        fn(*args)
+        return list(calls)
+
+    monkeypatch.setattr(motif._TwoWalks, "rows", counted)
+    g = nm.Graph(adj)
+    first = product_calls(nm.summarize, g, nm.TRIANGLE)
+    second = product_calls(nm.summarize, g, nm.VSHAPE)
+    node_pass = first[:len(first) - len(second)]
+    assert node_pass[0][0] == 0 and node_pass[-1][1] == 300
+    assert first[len(node_pass):] == second  # the same leaves for each motif
+    both = product_calls(nm.hash_network, nm.Graph(adj), [nm.TRIANGLE, nm.VSHAPE], "x")
+    assert both == node_pass + second + second
 
 
 def test_hash_multi_motif_and_partial_failure(p3):

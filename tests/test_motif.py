@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import netmoment as nm
+from netmoment import edgeworth, motif
 from netmoment.edgeworth import SUMMARY_FIELDS
 from netmoment.motif import moment_census, motif_by_name, motif_from_spec
 from netmoment.rng import spawn_rng
@@ -144,6 +145,67 @@ def test_summarize_matches_frozen_dense_summary_bit_for_bit(m, p, seed, motif_na
     want = frozen_summary(g, motif_name)
     assert {f: float(getattr(got, f)).hex() for f in SUMMARY_FIELDS} == {
         f: float(want[f]).hex() for f in SUMMARY_FIELDS}
+
+
+def field_hex(values):
+    return {f: float(values[f]).hex() for f in SUMMARY_FIELDS}
+
+
+def summary_hex(summary):
+    return field_hex({f: getattr(summary, f) for f in SUMMARY_FIELDS})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(4, 40),
+    p=st.floats(0.05, 0.95),
+    seed=st.integers(0, 10_000),
+    motif_name=st.sampled_from(["edge", "vshape", "triangle"]),
+    leaf=st.sampled_from([128, 256]),
+)
+def test_summarize_leaf_by_leaf_matches_frozen_summary_bit_for_bit(m, p, seed, motif_name,
+                                                                   leaf):
+    # leaves of 128 or 256 pairs split these graphs as 2^16 splits large ones
+    g = random_graph(m, p, spawn_rng(seed, "frozen-leaves"))
+    assume(0 < g.edge_count < m * (m - 1) // 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(edgeworth, "_LEAF", leaf)
+        got = nm.summarize(g, motif_by_name(motif_name))
+    assert summary_hex(got) == field_hex(frozen_summary(g, motif_name))
+
+
+@pytest.mark.parametrize("rho", [0.02, 0.25])
+@pytest.mark.parametrize("m", [300, 700, 1200])
+def test_streamed_summary_matches_frozen_summary_bit_for_bit(m, rho):
+    g = random_graph(m, rho, spawn_rng(m, "streamed-summary", str(rho)))
+    for name in ("edge", "vshape", "triangle"):
+        got = nm.summarize(g, motif_by_name(name))
+        assert summary_hex(got) == field_hex(frozen_summary(g, name)), name
+    # the sparse graphs take the CSR product, the dense ones float32 BLAS
+    assert (motif._two_walks(g)._a32 is None) == (rho < 0.1)
+
+
+@pytest.mark.parametrize("sparse", [True, False])
+@pytest.mark.parametrize("m", [2, 3, 50, 300])
+def test_two_walk_rows_are_exact(m, sparse, monkeypatch):
+    rng = spawn_rng(m, "two-walks")
+    adj = random_graph(m, 0.3, rng).adj.copy()
+    lone = rng.random(m) < 0.2  # isolated nodes have empty CSR rows
+    adj[lone] = False
+    adj[:, lone] = False
+    g = nm.Graph(adj)
+    want = adj.astype(np.int64) @ adj
+    ranges = [(0, m), (m - 1, m)] + [
+        tuple(sorted(rng.choice(m + 1, size=2, replace=False))) for _ in range(5)]
+    cached = motif._TwoWalks(g, sparse)
+    monkeypatch.setattr(motif, "_BLOCK", 1)  # one row per block, nothing cached
+    for walks in (cached, motif._TwoWalks(g, sparse)):
+        assert np.array_equal(walks.tri_per_node * 2, (want * adj).sum(axis=1))
+        assert np.array_equal(walks.cherry_ends, adj @ (g.degrees - 1))
+        for lo, hi in ranges:
+            rows = walks.rows(lo, hi)
+            assert rows.dtype == np.float64
+            assert np.array_equal(rows, want[lo:hi])
 
 
 @settings(max_examples=30, deadline=None)
