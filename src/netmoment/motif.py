@@ -153,6 +153,8 @@ class _TwoWalks:
     integers: CSR expands each row's walks with `repeat` and counts them with
     `bincount` (sum_k d_k^2 work in all), and float32 BLAS multiplies 0/1
     values whose partial sums stay below m < 2^24. Rows come back as float64.
+    The float32 copy of the adjacency lives from a pass's first block to its
+    last, which ends at row m.
 
     The node pass reduces the rows in blocks of at most _BLOCK pairs:
     `tri_per_node` is the per-row sum of A @ A * A over two, the triangles
@@ -162,15 +164,14 @@ class _TwoWalks:
 
     def __init__(self, g: Graph, sparse: bool):
         adj, m = g.adj, g.m
-        self._m = m
+        self._adj, self._m = adj, m
+        self._sparse = sparse
         self._full = None
+        self._a32 = None
         if sparse:
-            self._a32 = None
             self._nbr = np.nonzero(adj)[1]  # row-major, so grouped by row
             self._start = np.zeros(m + 1, dtype=np.int64)
             np.cumsum(g.degrees, out=self._start[1:])
-        else:
-            self._a32 = adj.astype(np.float32)
         tri2 = np.empty(m)
         walks = np.empty(m)
         step = max(1, _BLOCK // m)
@@ -189,8 +190,13 @@ class _TwoWalks:
         """Rows lo:hi of A @ A as float64; read-only when cached."""
         if self._full is not None:
             return self._full[lo:hi]
-        if self._a32 is not None:
-            return (self._a32[lo:hi] @ self._a32).astype(np.float64)
+        if not self._sparse:
+            if self._a32 is None:
+                self._a32 = self._adj.astype(np.float32)
+            n2 = (self._a32[lo:hi] @ self._a32).astype(np.float64)
+            if hi == self._m:  # every pass ends with the last row
+                self._a32 = None
+            return n2
         m, start, nbr = self._m, self._start, self._nbr
         mid = nbr[start[lo]:start[hi]]  # k of every walk i - k - j, by row
         first = start[mid]

@@ -182,7 +182,7 @@ def test_streamed_summary_matches_frozen_summary_bit_for_bit(m, rho):
         got = nm.summarize(g, motif_by_name(name))
         assert summary_hex(got) == field_hex(frozen_summary(g, name)), name
     # the sparse graphs take the CSR product, the dense ones float32 BLAS
-    assert (motif._two_walks(g)._a32 is None) == (rho < 0.1)
+    assert motif._two_walks(g)._sparse == (rho < 0.1)
 
 
 @pytest.mark.parametrize("sparse", [True, False])
