@@ -5,7 +5,7 @@ import logging
 import pytest
 
 import netmoment as nm
-from netmoment import motif
+from netmoment import motif as nm_motif
 from netmoment.edgeworth import SUMMARY_FIELDS
 from netmoment.hashdb import (
     DbFormatError,
@@ -30,7 +30,7 @@ def test_hash_network_runs_the_node_pass_once(monkeypatch):
     # m * m > 2^16, so the product is not kept whole and each row range counts
     adj = random_graph(300, 0.05, spawn_rng(4, "node-pass")).adj
     calls = []
-    rows = motif._TwoWalks.rows
+    rows = nm_motif._TwoWalks.rows
 
     def counted(self, lo, hi):
         calls.append((lo, hi))
@@ -41,7 +41,7 @@ def test_hash_network_runs_the_node_pass_once(monkeypatch):
         fn(*args)
         return list(calls)
 
-    monkeypatch.setattr(motif._TwoWalks, "rows", counted)
+    monkeypatch.setattr(nm_motif._TwoWalks, "rows", counted)
     g = nm.Graph(adj)
     first = product_calls(nm.summarize, g, nm.TRIANGLE)
     second = product_calls(nm.summarize, g, nm.VSHAPE)

@@ -4,7 +4,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import netmoment as nm
-from netmoment import edgeworth, motif
+from netmoment import edgeworth
+from netmoment import motif as nm_motif
 from netmoment.edgeworth import SUMMARY_FIELDS
 from netmoment.motif import moment_census, motif_by_name, motif_from_spec
 from netmoment.rng import spawn_rng
@@ -182,7 +183,7 @@ def test_streamed_summary_matches_frozen_summary_bit_for_bit(m, rho):
         got = nm.summarize(g, motif_by_name(name))
         assert summary_hex(got) == field_hex(frozen_summary(g, name)), name
     # the sparse graphs take the CSR product, the dense ones float32 BLAS
-    assert motif._two_walks(g)._sparse == (rho < 0.1)
+    assert nm_motif._two_walks(g)._sparse == (rho < 0.1)
 
 
 @pytest.mark.parametrize("sparse", [True, False])
@@ -197,9 +198,9 @@ def test_two_walk_rows_are_exact(m, sparse, monkeypatch):
     want = adj.astype(np.int64) @ adj
     ranges = [(0, m), (m - 1, m)] + [
         tuple(sorted(rng.choice(m + 1, size=2, replace=False))) for _ in range(5)]
-    cached = motif._TwoWalks(g, sparse)
-    monkeypatch.setattr(motif, "_BLOCK", 1)  # one row per block, nothing cached
-    for walks in (cached, motif._TwoWalks(g, sparse)):
+    cached = nm_motif._TwoWalks(g, sparse)
+    monkeypatch.setattr(nm_motif, "_BLOCK", 1)  # one row per block, nothing cached
+    for walks in (cached, nm_motif._TwoWalks(g, sparse)):
         assert np.array_equal(walks.tri_per_node * 2, (want * adj).sum(axis=1))
         assert np.array_equal(walks.cherry_ends, adj @ (g.degrees - 1))
         for lo, hi in ranges:
