@@ -31,6 +31,7 @@ from .edgeworth import (
     rate_diagnostic,
     smoothing_noise,
     summarize,
+    summarize_many,
 )
 from .inference import TestResult, confidence_interval, scaled_discrepancy, two_sample_test
 from .hashdb import HashDb, HashRecord, QueryHit, db_append, db_load, hash_network, query
@@ -57,6 +58,7 @@ __all__ = [
     "NetworkSummary",
     "EdgeworthCoeffs",
     "summarize",
+    "summarize_many",
     "combine",
     "cdf",
     "cornish_fisher",

@@ -7,7 +7,16 @@ terms (alpha0, alpha3 per node, alpha2/alpha4 per pair), folded into the
 empirical expectations that drive the expansion coefficients. The per-pair
 terms are built a block of rows at a time and reduced at once, in numpy's
 own summation order. All population
-quantities are replaced by their plug-in estimates. `combine` then turns two
+quantities are replaced by their plug-in estimates.
+
+`summarize_many` runs the same kernel over a stack of same-size graphs, with
+a leading batch axis on every array: 2^16 / m^2 graphs of m nodes at a time
+(40 at m = 40, 2 at m = 160), and a graph of more than 2^16 pairs alone.
+numpy sums each graph's row of a stacked array as it sums that graph alone,
+so every summary keeps the bits of `summarize`. The CDF and coverage runners
+summarize their replicates this way. The bootstrap does not: its resampling
+and smoothing draws alternate on one stream, and whether a smoothing draw
+happens depends on the summary just computed. `combine` then turns two
 summaries into the studentizer S and the three correction coefficients
 (I0, Q1, Q2) of the expanded CDF
 
@@ -29,11 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, GraphStack, density
 from .motif import Motif, _zero_diagonal, moment_census
 from .projections import (
     DegenerateGraphError,
     ProjectionSet,
+    _any,
+    _cell,
     _mean,
     g2_matrix,
     grho2_matrix,
@@ -162,6 +173,15 @@ def _pairwise_sum(start: int, n: int, leaf_sum) -> float:
     return _pairwise_sum(start, half, leaf_sum) + _pairwise_sum(start + half, n - half, leaf_sum)
 
 
+def _group_size(m: int) -> int:
+    """Graphs of m nodes that `summarize_many` summarizes as one stack.
+
+    A group holds at most _LEAF pairs in all, so each pair block is one
+    leaf's worth; a graph of more than _LEAF pairs goes alone.
+    """
+    return max(1, _LEAF // (m * m))
+
+
 def summarize(g: Graph, motif: Motif, network_id: str = "") -> NetworkSummary:
     """Hash one network into its motif summary vector.
 
@@ -169,29 +189,83 @@ def summarize(g: Graph, motif: Motif, network_id: str = "") -> NetworkSummary:
     its plug-in estimate. Pairwise terms are built a block of rows at a time
     and reduced at once, so no m x m float array is ever alive; the blocks
     follow numpy's summation order, so the result has the bits of a sum over
-    the full matrices.
+    the full matrices. This is the kernel of `summarize_many`, run on a group
+    of one graph.
+    """
+    return _summaries(g, motif, [network_id])[0]
+
+
+def summarize_many(graphs, motif: Motif) -> list[NetworkSummary | DegenerateGraphError]:
+    """Summaries of same-size graphs, in order, each as `summarize` gives it.
+
+    Each entry is the graph's NetworkSummary, or the DegenerateGraphError
+    that `summarize` raises for it. Graphs of m nodes go through the kernel
+    in stacks of `_group_size(m)`, with a leading batch axis on every array;
+    each reduction sums every graph's row as it sums that graph alone, so
+    each summary has the bits of `summarize`. A stack whose arithmetic
+    overflows is redone one graph at a time.
+    """
+    graphs = list(graphs)
+    if any(g.m != graphs[0].m for g in graphs):
+        raise ValueError("summarize_many needs graphs of one size")
+    out = [None] * len(graphs)
+    # graphs that fail the size, empty or complete gate go to summarize,
+    # which raises them with its messages
+    live = [i for i, g in enumerate(graphs) if g.m > motif.r and 0.0 < density(g) < 1.0]
+    step = _group_size(graphs[0].m) if graphs else 1
+    for lo in range(0, len(live), step):
+        group = live[lo:lo + step]
+        if len(group) > 1:
+            try:
+                stacked = _summaries(GraphStack([graphs[i] for i in group]), motif,
+                                     [""] * len(group))
+            except DegenerateGraphError:  # a member overflowed: one at a time
+                continue
+            for i, summary in zip(group, stacked):
+                out[i] = summary
+    for i, g in enumerate(graphs):
+        if out[i] is None:
+            try:
+                out[i] = summarize(g, motif)
+            except DegenerateGraphError as exc:
+                out[i] = exc
+    return out
+
+
+def _summaries(g: Graph | GraphStack, motif: Motif, network_ids: list) -> list:
+    """The summary kernel, for one graph or for each graph of a stack.
+
+    A stack carries its scalars as (B, 1, 1) columns and its per-node values
+    as (B, 1, m) rows, so each formula below broadcasts over the stack as
+    written for one graph. One graph keeps Python floats for its scalars.
     """
     if g.m < motif.r + 1:
         raise DegenerateGraphError(f"m={g.m} too small for motif r={motif.r}")
     m = g.m
+    stacked = isinstance(g, GraphStack)
     # a graph of one leaf gets its pair averages with the census
     census = moment_census(g, motif, want_pairs=m * m <= _LEAF)
     ps = project(g, motif, _census=census)
     rho = ps.rho_hat
-    if rho >= 1.0:
+    if _any(rho >= 1.0):
         raise DegenerateGraphError("degenerate sparsity: complete graph (rho_hat = 1)")
 
     r, s = motif.r, motif.s
-    u_hat = ps.u_hat
-    g1 = ps.g1
-    grho1 = ps.grho1
-    xi_g = ps.xi_A1_sq
-    xi_rho = ps.xi_rhoA1_sq
-    xi_x = ps.xi_cross
+    u_hat, xi_g, xi_rho, xi_x = ps.u_hat, ps.xi_A1_sq, ps.xi_rhoA1_sq, ps.xi_cross
+    g1, grho1 = ps.g1, ps.grho1
+    if stacked:
+        u_hat, xi_g, xi_rho, xi_x = map(_cell, (u_hat, xi_g, xi_rho, xi_x))
+        g1, grho1 = g1[:, None, :], grho1[:, None, :]
 
     with np.errstate(over="raise", invalid="raise"):
         try:
-            rp = {k: rho ** (-k) for k in (s, s + 1, s + 2, 2 * s, 2 * s + 1, 2 * s + 2, 2 * s + 3)}
+            # Python's float power, one graph at a time: numpy's vector power
+            # can differ from it in the last bit
+            powers = (s, s + 1, s + 2, 2 * s, 2 * s + 1, 2 * s + 2, 2 * s + 3)
+            if stacked:
+                rp = {k: _cell(np.array([x ** (-k) for x in rho.tolist()])) for k in powers}
+            else:
+                rp = {k: rho ** (-k) for k in powers}
 
             alpha1 = r * rp[s] * g1 - 2.0 * s * rp[s + 1] * u_hat * grho1
             alpha0 = (
@@ -210,6 +284,7 @@ def summarize(g: Graph, motif: Motif, network_id: str = "") -> NetworkSummary:
                     + rp[2 * s + 1] * u_hat * (g1 * grho1 - xi_x)
                 )
             )
+            alpha1_col = alpha1[:, 0] if stacked else alpha1  # the row index i, below
 
             # alpha4 and alpha2 are asymmetric (the row index is the first
             # argument of the pair function):
@@ -227,12 +302,12 @@ def summarize(g: Graph, motif: Motif, network_id: str = "") -> NetworkSummary:
             colsum = None  # alpha4 column sums over rows 0..done-1
             done = 0
 
-            def leaf_sum(start: int, stop: int) -> float:
+            def leaf_sum(start: int, stop: int):
                 nonlocal colsum, done
                 lo, hi = start // m, -(-stop // m)  # the rows the cells touch
                 gm2 = g2_matrix(g, motif, ps, lo, hi, _census=census)
                 grm2 = grho2_matrix(g, ps, lo, hi)
-                g1_i, grho1_i = g1[lo:hi, None], grho1[lo:hi, None]
+                g1_i, grho1_i = ps.g1[..., lo:hi, None], ps.grho1[..., lo:hi, None]
 
                 acc = np.multiply(g1_i, gm2)
                 acc *= 2.0 * r * r * (r - 1) * rp[2 * s]
@@ -246,33 +321,39 @@ def summarize(g: Graph, motif: Motif, network_id: str = "") -> NetworkSummary:
                 term *= 4.0 * r * s * rp[2 * s + 1] * u_hat
                 acc -= term
                 _zero_diagonal(acc, lo)  # acc = alpha4
-                # numpy's axis-0 sum adds one row at a time, so adding each
-                # new row in turn keeps its bits; a row shared with the
-                # previous leaf is already in
+                # numpy's sum over the row axis adds one row at a time, so
+                # adding each new row in turn keeps its bits; a row shared
+                # with the previous leaf is already in
                 if colsum is None:
-                    colsum = acc.sum(axis=0)
+                    colsum = np.add.reduce(acc, axis=-2)
                 else:
-                    for row in acc[done - lo:]:
-                        colsum += row
+                    for row in range(done - lo, hi - lo):
+                        colsum += acc[..., row, :]
                 done = hi
 
                 np.multiply(gm2, 0.5 * r * (r - 1) * rp[s], out=acc)
                 np.multiply(grm2, s * rp[s + 1] * u_hat, out=term)
                 acc -= term
-                np.multiply(grho1_i, grho1[None, :], out=term)
+                np.multiply(grho1_i, grho1, out=term)
                 term *= 2.0 * s * (s + 1) * rp[s + 2] * u_hat
                 acc += term
-                np.multiply(grho1_i, g1[None, :], out=term)
+                np.multiply(grho1_i, g1, out=term)
                 term *= 2.0 * r * s * rp[s + 1]
                 acc -= term
                 _zero_diagonal(acc, lo)  # acc = alpha2
-                np.multiply(alpha1[lo:hi, None], alpha1[None, :], out=term)
+                np.multiply(alpha1_col[..., lo:hi, None], alpha1, out=term)
                 term *= acc
-                return float(np.sum(term.reshape(-1)[start - lo * m:stop - lo * m]))
+                cells = slice(start - lo * m, stop - lo * m)
+                if stacked:
+                    return np.add.reduce(term.reshape(len(term), -1)[:, cells], axis=-1)
+                return float(np.add.reduce(term.reshape(-1)[cells]))
 
             pairs = m * (m - 1)
             e_a1a1a2 = _pairwise_sum(0, m * m, leaf_sum) / pairs
-            e_a4_a1 = float(colsum @ alpha1) / pairs
+            if stacked:  # one dot per graph: a stacked einsum does not keep its bits
+                e_a4_a1 = [float(c @ a) / pairs for c, a in zip(colsum, alpha1[:, 0])]
+            else:
+                e_a4_a1 = [float(colsum @ alpha1) / pairs]
 
             e_a1_cubed = _mean(alpha1 ** 3)
             e_a1_a3 = _mean(alpha1 * alpha3)
@@ -285,31 +366,37 @@ def summarize(g: Graph, motif: Motif, network_id: str = "") -> NetworkSummary:
                 _mean((r * rp[s] * g1) ** 2)
                 + _mean((2.0 * s * rp[s + 1] * u_hat * grho1) ** 2)
             )
-            if xi_alpha1_sq <= cancel_floor:
-                xi_alpha1_sq = 0.0
         except (FloatingPointError, OverflowError) as exc:
             raise DegenerateGraphError(
                 f"sparsity too extreme for motif {motif.name}: {exc}"
             ) from exc
 
-    summary = NetworkSummary(
-        network_id=network_id,
-        n=g.m,
-        motif_name=motif.name,
-        motif_r=r,
-        motif_s=s,
-        rho_hat=rho,
-        u_hat=u_hat,
-        alpha0_hat=alpha0,
-        xi_g1_sq=xi_g,
-        xi_alpha1_sq=xi_alpha1_sq,
-        e_a1_cubed=e_a1_cubed,
-        e_a1_a3=e_a1_a3,
-        e_a4_a1=e_a4_a1,
-        e_a1a1a2=e_a1a1a2,
-    )
-    summary.validate()
-    return summary
+    fields = (rho, ps.u_hat, alpha0, xi_g, xi_alpha1_sq, cancel_floor, e_a1_cubed, e_a1_a3,
+              e_a1a1a2)
+    # Python floats, one row per graph
+    rows = zip(*(np.ravel(x).tolist() for x in fields)) if stacked else [fields]
+    summaries = []
+    for nid, row, a4a1 in zip(network_ids, rows, e_a4_a1):
+        rho_b, u_b, a0, xg, xa, floor, cubed, a1a3, a1a1a2 = row
+        summary = NetworkSummary(
+            network_id=nid,
+            n=m,
+            motif_name=motif.name,
+            motif_r=r,
+            motif_s=s,
+            rho_hat=rho_b,
+            u_hat=u_b,
+            alpha0_hat=a0,
+            xi_g1_sq=xg,
+            xi_alpha1_sq=0.0 if xa <= floor else xa,
+            e_a1_cubed=cubed,
+            e_a1_a3=a1a3,
+            e_a4_a1=a4a1,
+            e_a1a1a2=a1a1a2,
+        )
+        summary.validate()
+        summaries.append(summary)
+    return summaries
 
 
 def combine(sa: NetworkSummary, sb: NetworkSummary) -> EdgeworthCoeffs:

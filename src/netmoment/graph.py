@@ -40,17 +40,19 @@ class Graph:
 
     __slots__ = ("adj", "m", "load_report", "_degrees", "_two_walks")
 
-    def __init__(self, adj: np.ndarray, load_report: LoadReport | None = None):
-        adj = np.asarray(adj, dtype=bool)
+    def __init__(self, adj: np.ndarray, load_report: LoadReport | None = None, *,
+                 _owned: bool = False):
+        # _owned: the package's own builders pass a fresh array that is
+        # symmetric by construction; the graph keeps it as it is, uncopied
+        adj = np.asarray(adj, dtype=bool) if _owned else np.array(adj, dtype=bool)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {adj.shape}")
         if adj.shape[0] < 2:
             raise ValueError("graph needs at least 2 nodes")
         if np.any(np.diagonal(adj)):
             raise ValueError("adjacency has entries on the diagonal (self-loops)")
-        if not np.array_equal(adj, adj.T):
+        if not _owned and not _is_symmetric(adj):
             raise ValueError("adjacency is not symmetric")
-        adj = adj.copy()
         adj.setflags(write=False)
         self.adj = adj
         self.m = adj.shape[0]
@@ -68,7 +70,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return int(self.degrees.sum()) // 2
+        return int(np.add.reduce(self.degrees)) // 2
 
     @classmethod
     def from_edges(cls, m: int, edges) -> "Graph":
@@ -78,15 +80,53 @@ class Graph:
         if outside.any():
             i, j = uv[outside.argmax()].tolist()
             raise ValueError(f"edge ({i}, {j}) has a node id outside 0..{m - 1}")
-        return cls(_adjacency(m, uv[uv[:, 0] != uv[:, 1]]))
+        return cls(_adjacency(m, uv[uv[:, 0] != uv[:, 1]]), _owned=True)
 
     def __repr__(self):
         return f"Graph(m={self.m}, edges={self.edge_count})"
 
 
 def density(g: Graph) -> float:
-    """Empirical edge density: edges over C(m, 2)."""
+    """Empirical edge density: edges over C(m, 2); per graph for a stack."""
     return 2.0 * g.edge_count / (g.m * (g.m - 1))
+
+
+# cells per block of the symmetry check, which compares rows lo:hi with
+# columns lo:hi and so holds no m x m temporary
+_SYMMETRY_BLOCK = 1 << 16
+
+
+def _is_symmetric(adj: np.ndarray) -> bool:
+    m = adj.shape[0]
+    step = max(1, _SYMMETRY_BLOCK // m)
+    return all(np.array_equal(adj[lo:lo + step], adj[:, lo:lo + step].T)
+               for lo in range(0, m, step))
+
+
+class GraphStack:
+    """Graphs of one size m, read as arrays with a leading batch axis.
+
+    `adj` is (B, m, m) and `degrees` (B, m), in the order of `graphs`. The
+    motif census, the projections and the pair rows take a stack wherever
+    they take a Graph; each value they return then has the batch axis, and a
+    scalar becomes a (B,) array. A stack caches its A @ A node pass as a
+    graph does.
+    """
+
+    __slots__ = ("graphs", "m", "adj", "degrees", "_two_walks")
+
+    def __init__(self, graphs):
+        self.graphs = list(graphs)
+        self.m = self.graphs[0].m
+        if any(g.m != self.m for g in self.graphs):
+            raise ValueError("the graphs of a stack must have one size")
+        self.adj = np.stack([g.adj for g in self.graphs])
+        self.degrees = np.stack([g.degrees for g in self.graphs])
+        self._two_walks = None
+
+    @property
+    def edge_count(self) -> np.ndarray:
+        return self.degrees.sum(axis=1) // 2
 
 
 def permute(g: Graph, pi) -> Graph:
@@ -100,7 +140,7 @@ def permute(g: Graph, pi) -> Graph:
         raise ValueError("pi is not a bijection on 0..m-1")
     inv = np.empty(g.m, dtype=np.int64)
     inv[pi] = np.arange(g.m)
-    return Graph(g.adj[np.ix_(inv, inv)])
+    return Graph(g.adj[np.ix_(inv, inv)], _owned=True)
 
 
 # Byte classes of the bulk parser. Blanks (space, \t, \v, \f) separate
@@ -275,7 +315,7 @@ def load_edge_list(path, indexing: str = "zero-based") -> Graph:
         "loaded %s: m=%d kept=%d loops_dropped=%d dups_merged=%d",
         path, m, report.edges_kept, report.self_loops_dropped, report.duplicates_merged,
     )
-    return Graph(adj, load_report=report)
+    return Graph(adj, load_report=report, _owned=True)
 
 
 def save_edge_list(g: Graph, path) -> None:

@@ -24,7 +24,7 @@ from math import comb
 
 import numpy as np
 
-from .graph import Graph, density
+from .graph import Graph, GraphStack, density
 
 MAX_MOTIF_NODES = 5
 BRUTEFORCE_SUBSET_CAP = 10**6
@@ -210,33 +210,65 @@ class _TwoWalks:
         return counts.reshape(hi - lo, m).astype(np.float64)
 
 
-def _two_walks(g: Graph) -> _TwoWalks:
-    """The graph's `_TwoWalks`, built on first use and cached on the graph."""
+class _StackedWalks:
+    """The members' `_TwoWalks` of a GraphStack, with the batch axis leading."""
+
+    def __init__(self, stack: GraphStack):
+        self._walks = [_two_walks(g) for g in stack.graphs]
+        self.tri_per_node = np.stack([w.tri_per_node for w in self._walks])
+        self.cherry_ends = np.stack([w.cherry_ends for w in self._walks])
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        return np.stack([w.rows(lo, hi) for w in self._walks])
+
+
+def _two_walks(g: Graph | GraphStack) -> _TwoWalks | _StackedWalks:
+    """The graph's `_TwoWalks`, built on first use and cached on the graph.
+
+    A stack reads its members' cached passes, so a graph shares one node
+    pass between every motif, whether it is summarized alone or in a stack.
+    """
     if g._two_walks is None:
-        d = g.degrees
-        g._two_walks = _TwoWalks(g, sparse=int(d @ d) * _SPARSE_RATIO < g.m ** 3)
+        if isinstance(g, GraphStack):
+            g._two_walks = _StackedWalks(g)
+        else:
+            d = g.degrees
+            g._two_walks = _TwoWalks(g, sparse=int(d @ d) * _SPARSE_RATIO < g.m ** 3)
     return g._two_walks
 
 
 def _zero_diagonal(block: np.ndarray, lo: int) -> None:
-    """Zero the diagonal cells of `block`, rows lo:lo+k of an m-column matrix.
+    """Zero the diagonal cells of `block`, rows lo:lo+k of m-column matrices.
 
-    Cell (i, lo + i) sits at flat offset lo + i * (m + 1); `block` must be
-    C-contiguous, so that the flat view writes through.
+    Cell (i, lo + i) sits at flat offset lo + i * (m + 1) of its matrix;
+    `block` (k, m), or (B, k, m) for a stack, must be C-contiguous, so that
+    the flat view writes through.
     """
-    block.reshape(-1)[lo::block.shape[1] + 1] = 0.0
+    step = block.shape[-1] + 1
+    if block.ndim == 2:
+        block.reshape(-1)[lo::step] = 0.0
+    else:
+        block.reshape(len(block), -1)[:, lo::step] = 0.0
+
+
+def _float(x):
+    """A Python float for one graph's numpy scalar; a stack's (B,) array as is."""
+    return x if isinstance(x, np.ndarray) else float(x)
 
 
 @dataclass(frozen=True)
 class MomentCensus:
-    """Whole-graph and per-node restricted averages, and optionally per-pair."""
+    """Whole-graph and per-node restricted averages, and optionally per-pair.
+
+    For a GraphStack each field has a leading batch axis.
+    """
 
     u_hat: float
     node_avgs: np.ndarray
     pair_avgs: np.ndarray | None
 
 
-def moment_census(g: Graph, motif: Motif, want_pairs: bool = False) -> MomentCensus:
+def moment_census(g: Graph | GraphStack, motif: Motif, want_pairs: bool = False) -> MomentCensus:
     """Compute u_hat and the per-node (optionally per-pair) averages together.
 
     The r = 3 closed forms read the graph's node pass over A @ A, which runs
@@ -256,15 +288,15 @@ def moment_census(g: Graph, motif: Motif, want_pairs: bool = False) -> MomentCen
     elif shape in ((3, 2), (3, 3)):
         walks = _two_walks(g)
         tri_per_node = walks.tri_per_node
-        tri_total = tri_per_node.sum() / 3.0
+        tri_total = np.add.reduce(tri_per_node, axis=-1) / 3.0
         if shape == (3, 3):  # triangle
-            u_hat = float(tri_total) / comb(m, 3)
+            u_hat = _float(tri_total) / comb(m, 3)
             node_avgs = tri_per_node / node_denom
         else:  # vshape
             d = g.degrees.astype(np.float64)
             centred = d * (d - 1) / 2.0  # vshapes centred at each node
-            hits = centred.sum() - 2.0 * tri_total
-            u_hat = float(hits) / comb(m, 3)
+            hits = np.add.reduce(centred, axis=-1) - 2.0 * tri_total
+            u_hat = _float(hits) / comb(m, 3)
             # cherries through i: pairs of i's neighbours plus paths centred
             # at a neighbour; subtract twice the triangles to fix the
             # >=2-edge overcount
@@ -281,11 +313,11 @@ def moment_census(g: Graph, motif: Motif, want_pairs: bool = False) -> MomentCen
     return MomentCensus(u_hat=u_hat, node_avgs=node_avgs, pair_avgs=pair_avgs)
 
 
-def pair_avg_rows(g: Graph, motif: Motif, lo: int, hi: int) -> np.ndarray:
+def pair_avg_rows(g: Graph | GraphStack, motif: Motif, lo: int, hi: int) -> np.ndarray:
     """Rows lo:hi of the pair-restricted averages, diagonal zeroed."""
     pair_denom = comb(g.m - 2, motif.r - 2)
     shape = (motif.r, motif.s)
-    adj = g.adj[lo:hi]
+    adj = g.adj[..., lo:hi, :]
     if motif.r == 2:  # edge
         out = adj.astype(np.float64)
     elif shape == (3, 3):  # triangle: the common neighbours of an edge
@@ -294,11 +326,11 @@ def pair_avg_rows(g: Graph, motif: Motif, lo: int, hi: int) -> np.ndarray:
     elif shape == (3, 2):  # vshape: d_i + d_j - 2 - n2 on an edge, n2 off it
         n2 = _two_walks(g).rows(lo, hi)
         d = g.degrees.astype(np.float64)
-        out = d[lo:hi, None] + d[None, :] - 2.0 - n2
+        out = d[..., lo:hi, None] + d[..., None, :] - 2.0 - n2
         np.copyto(out, n2, where=~adj)
         out /= pair_denom
     else:
-        out = _subset_census(g, motif, want_pairs=True)[2][lo:hi] / pair_denom
+        out = _subset_census(g, motif, want_pairs=True)[2][..., lo:hi, :] / pair_denom
     _zero_diagonal(out, lo)
     return out
 
@@ -324,12 +356,16 @@ def moment_u_bruteforce(g: Graph, motif: Motif) -> float:
     return hits / n_subsets
 
 
-def _subset_census(g: Graph, motif: Motif, want_pairs: bool):
+def _subset_census(g: Graph | GraphStack, motif: Motif, want_pairs: bool):
     """Generic path: one sweep over all C(m, r) subsets.
 
     Costs C(m, r) contains_motif calls; intended for custom motifs (r <= 5)
-    on small graphs, as documented in the module docstring.
+    on small graphs, as documented in the module docstring. A stack sweeps
+    its members one at a time.
     """
+    if isinstance(g, GraphStack):
+        totals, nodes, pairs = zip(*(_subset_census(x, motif, want_pairs) for x in g.graphs))
+        return np.array(totals), np.stack(nodes), np.stack(pairs) if want_pairs else None
     m = g.m
     adj = g.adj
     total = 0.0

@@ -10,6 +10,9 @@ Second-order values subtract both first-order terms and the grand mean from
 the pair-restricted averages; they are never stored per ProjectionSet. The
 summary builder asks for them a few rows at a time and reduces each block
 before it builds the next.
+
+Every function here also takes a GraphStack: each array then gains a leading
+batch axis, and each scalar becomes a (B,) array.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, density
+from .graph import Graph, GraphStack, density
 from .motif import Motif, MomentCensus, _zero_diagonal, moment_census, pair_avg_rows
 
 
@@ -28,7 +31,10 @@ class DegenerateGraphError(ValueError):
 
 @dataclass(frozen=True)
 class ProjectionSet:
-    """First-order projections and their moment scalars for one network."""
+    """First-order projections and their moment scalars for one network.
+
+    For a GraphStack each field has a leading batch axis.
+    """
 
     motif: Motif
     m: int
@@ -41,23 +47,43 @@ class ProjectionSet:
     xi_cross: float
 
 
-def _mean(x: np.ndarray) -> float:
-    """np.mean of a 1-D float64 array, bit for bit, without its overhead."""
-    return float(np.add.reduce(x) / x.size)
+def _mean(x: np.ndarray):
+    """np.mean over the last axis of a float64 array, bit for bit, without its
+    overhead: a float for a 1-D array, else a mean per row, for numpy sums
+    each row pairwise as it sums a 1-D array."""
+    if x.ndim == 1:
+        return float(np.add.reduce(x) / x.size)
+    return np.add.reduce(x, axis=-1) / x.shape[-1]
 
 
-def project(g: Graph, motif: Motif, _census: MomentCensus | None = None) -> ProjectionSet:
+def _per_node(x):
+    """A graph's float as is; a stack's (B,) scalars as a (B, 1) column."""
+    return x if isinstance(x, float) else x[:, None]
+
+
+def _cell(x):
+    """A graph's float as is; a stack's (B,) scalars shaped (B, 1, 1)."""
+    return x if isinstance(x, float) else x[:, None, None]
+
+
+def _any(flags) -> bool:
+    """Whether a graph's flag, or any of a stack's (B,) flags, is set."""
+    return flags if isinstance(flags, bool) else bool(flags.any())
+
+
+def project(g: Graph | GraphStack, motif: Motif,
+            _census: MomentCensus | None = None) -> ProjectionSet:
     """Compute first-order projections g1, grho1 and their second moments."""
     if g.m < motif.r:
         raise DegenerateGraphError(f"m={g.m} < motif r={motif.r}")
     rho = density(g)
-    if rho == 0.0:
+    if _any(rho == 0.0):
         raise DegenerateGraphError("degenerate sparsity: empty graph (rho_hat = 0)")
 
     census = _census if _census is not None else moment_census(g, motif)
     u_hat = census.u_hat
-    g1 = census.node_avgs - u_hat
-    grho1 = g.degrees / (g.m - 1.0) - rho
+    g1 = census.node_avgs - _per_node(u_hat)
+    grho1 = g.degrees / (g.m - 1.0) - _per_node(rho)
 
     g1.setflags(write=False)
     grho1.setflags(write=False)
@@ -75,8 +101,8 @@ def project(g: Graph, motif: Motif, _census: MomentCensus | None = None) -> Proj
 
 
 def g2_matrix(
-    g: Graph, motif: Motif, ps: ProjectionSet, lo: int = 0, hi: int | None = None,
-    _census: MomentCensus | None = None,
+    g: Graph | GraphStack, motif: Motif, ps: ProjectionSet, lo: int = 0,
+    hi: int | None = None, _census: MomentCensus | None = None,
 ) -> np.ndarray:
     """Rows lo:hi (default all) of the g2 values, diagonal zeroed.
 
@@ -85,23 +111,24 @@ def g2_matrix(
     """
     hi = g.m if hi is None else hi
     if _census is not None and _census.pair_avgs is not None:
-        pair_avgs = _census.pair_avgs[lo:hi]
+        pair_avgs = _census.pair_avgs[..., lo:hi, :]
     else:
         pair_avgs = pair_avg_rows(g, motif, lo, hi)
     # pair_avgs - (g1_i + g1_j) - u_hat, evaluated in one buffer
-    out = np.add(ps.g1[lo:hi, None], ps.g1[None, :])
+    out = np.add(ps.g1[..., lo:hi, None], ps.g1[..., None, :])
     np.subtract(pair_avgs, out, out=out)
-    out -= ps.u_hat
+    out -= _cell(ps.u_hat)
     _zero_diagonal(out, lo)
     return out
 
 
-def grho2_matrix(g: Graph, ps: ProjectionSet, lo: int = 0, hi: int | None = None) -> np.ndarray:
+def grho2_matrix(g: Graph | GraphStack, ps: ProjectionSet, lo: int = 0,
+                 hi: int | None = None) -> np.ndarray:
     """Rows lo:hi (default all) of the grho2 values, diagonal zeroed."""
     hi = g.m if hi is None else hi
     # A - (grho1_i + grho1_j) - rho_hat, with one temporary
-    out = g.adj[lo:hi].astype(np.float64)
-    out -= np.add(ps.grho1[lo:hi, None], ps.grho1[None, :])
-    out -= ps.rho_hat
+    out = g.adj[..., lo:hi, :].astype(np.float64)
+    out -= np.add(ps.grho1[..., lo:hi, None], ps.grho1[..., None, :])
+    out -= _cell(ps.rho_hat)
     _zero_diagonal(out, lo)
     return out

@@ -32,9 +32,9 @@ class BootstrapResult:
 
 
 def _induced(g: Graph, idx: np.ndarray) -> Graph:
-    adj = g.adj[np.ix_(idx, idx)].copy()
+    adj = g.adj[np.ix_(idx, idx)]  # a fresh array
     np.fill_diagonal(adj, False)  # duplicated nodes under resampling
-    return Graph(adj)
+    return Graph(adj, _owned=True)
 
 
 def bootstrap_distribution(

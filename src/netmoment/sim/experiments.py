@@ -23,7 +23,8 @@ import numpy as np
 
 from .. import __version__ as _pkg_version
 from ..csvout import write_csv
-from ..edgeworth import combine, cornish_fisher, norm_cdf, norm_quantile, smoothing_noise, summarize
+from ..edgeworth import (_group_size, combine, cornish_fisher, norm_cdf, norm_quantile,
+                         smoothing_noise, summarize, summarize_many)
 from ..hashdb import HashDb, hash_network, query
 from ..inference import interval_from_quantiles, scaled_discrepancy, two_sample_test
 from ..motif import Motif, motif_from_spec
@@ -136,6 +137,37 @@ def _sample_pair(cfg: PairConfig, m: int, n: int, rng):
             sample_network(builtin_graphon(cfg.graphon_b), cfg.rho_b, n, rng))
 
 
+def _replicate_groups(cfg: PairConfig, tag: str, m: int, n: int, lo: int, hi: int):
+    """Replicates lo..hi-1 in groups that `summarize_many` takes as one stack.
+
+    Yields (replicate indices, rngs, networks a, networks b) per group. Each
+    replicate's own stream has drawn its pair and nothing else, so a caller
+    that then walks the group in order draws what a one-by-one loop draws.
+    """
+    step = _group_size(max(m, n))
+    for start in range(lo, hi, step):
+        reps = range(start, min(start + step, hi))
+        rngs = [spawn_rng(cfg.seed, tag, m, n, rep) for rep in reps]
+        pairs = [_sample_pair(cfg, m, n, rng) for rng in rngs]
+        yield reps, rngs, [a for a, _ in pairs], [b for _, b in pairs]
+
+
+def _compared(nets_a: list, nets_b: list, motif: Motif) -> list:
+    """(summary a, summary b, their coefficients) per replicate, or None where
+    a summary or `combine` is degenerate. No rng is drawn."""
+    out = []
+    for sa, sb in zip(summarize_many([net.graph for net in nets_a], motif),
+                      summarize_many([net.graph for net in nets_b], motif)):
+        if isinstance(sa, DegenerateGraphError) or isinstance(sb, DegenerateGraphError):
+            out.append(None)
+            continue
+        try:
+            out.append((sa, sb, combine(sa, sb)))
+        except DegenerateGraphError:
+            out.append(None)
+    return out
+
+
 def _centering(cfg, graphon_name: str, rho: float, motif: Motif, side: str) -> float:
     graphon = builtin_graphon(graphon_name)
     # the deterministic oracle covers block models and r <= 3 smooth kernels;
@@ -188,21 +220,17 @@ def _cdf_chunk(cfg: CdfConfig, m: int, n: int, d_true: float,
     g_sum = np.zeros_like(grid)
     skipped = 0
     clamps = 0
-    for rep in range(lo, hi):
-        rng = spawn_rng(cfg.seed, "cdf", m, n, rep)
-        sa_net, sb_net = _sample_pair(cfg, m, n, rng)
-        clamps += sa_net.clamp_count + sb_net.clamp_count
-        try:
-            sa = summarize(sa_net.graph, motif)
-            sb = summarize(sb_net.graph, motif)
-            coeffs = combine(sa, sb)
-        except DegenerateGraphError:
-            skipped += 1
-            continue
-        delta = smoothing_noise(m, n, cfg.c_delta, rng)
-        t_values.append((scaled_discrepancy(sa, sb) - d_true) / coeffs.S + delta)
-        corr = coeffs.Q1 + coeffs.Q2 * u2p1 + coeffs.I0
-        g_sum += np.clip(cap_phi - phi_grid * corr, 0.0, 1.0)
+    for _, rngs, nets_a, nets_b in _replicate_groups(cfg, "cdf", m, n, lo, hi):
+        clamps += sum(net.clamp_count for net in nets_a + nets_b)
+        for rng, compared in zip(rngs, _compared(nets_a, nets_b, motif)):
+            if compared is None:
+                skipped += 1
+                continue
+            sa, sb, coeffs = compared
+            delta = smoothing_noise(m, n, cfg.c_delta, rng)
+            t_values.append((scaled_discrepancy(sa, sb) - d_true) / coeffs.S + delta)
+            corr = coeffs.Q1 + coeffs.Q2 * u2p1 + coeffs.I0
+            g_sum += np.clip(cap_phi - phi_grid * corr, 0.0, 1.0)
     return t_values, g_sum, skipped, clamps
 
 
@@ -297,44 +325,42 @@ def _coverage_chunk(cfg: CoverageConfig, m: int, n: int, d_true: dict, lo: int, 
     used = {mo.name: 0 for mo in motifs}
     skipped = {mo.name: 0 for mo in motifs}
     clamps = 0
-    for rep in range(lo, hi):
-        rng = spawn_rng(cfg.seed, "cov", m, n, rep)
-        sa_net, sb_net = _sample_pair(cfg, m, n, rng)
-        clamps += sa_net.clamp_count + sb_net.clamp_count
-        for mo in motifs:
-            try:
-                sa = summarize(sa_net.graph, mo)
-                sb = summarize(sb_net.graph, mo)
-                coeffs = combine(sa, sb)
-            except DegenerateGraphError:
-                skipped[mo.name] += 1
-                continue
-            used[mo.name] += 1
-            d_hat = scaled_discrepancy(sa, sb)
-            delta = smoothing_noise(m, n, cfg.c_delta, rng)
-            target = d_true[mo.name]
-            for meth in cfg.methods:
-                if meth == "edgeworth":
-                    q_lo = cornish_fisher(coeffs, alpha / 2.0)
-                    q_hi = cornish_fisher(coeffs, 1.0 - alpha / 2.0)
-                elif meth == "normal":
-                    q_lo = norm_quantile(alpha / 2.0)
-                    q_hi = norm_quantile(1.0 - alpha / 2.0)
-                else:
-                    boot = bootstrap_distribution(
-                        sa_net.graph, sb_net.graph, mo, meth,
-                        n_boot=cfg.n_boot,
-                        rng=spawn_rng(cfg.seed, "cov-boot", meth, m, n, rep),
-                        center=d_hat, c_delta=cfg.c_delta,
-                    )
-                    if len(boot.values) < max(10, cfg.n_boot // 4):
-                        continue
-                    q_lo, q_hi = np.quantile(boot.values, [alpha / 2.0, 1.0 - alpha / 2.0])
-                if q_lo >= q_hi:
+    for reps, rngs, nets_a, nets_b in _replicate_groups(cfg, "cov", m, n, lo, hi):
+        clamps += sum(net.clamp_count for net in nets_a + nets_b)
+        # one node pass per network serves every motif
+        by_motif = [_compared(nets_a, nets_b, mo) for mo in motifs]
+        for k, (rep, rng) in enumerate(zip(reps, rngs)):
+            for mo, compared in zip(motifs, by_motif):
+                if compared[k] is None:
+                    skipped[mo.name] += 1
                     continue
-                lo_end, hi_end = interval_from_quantiles(d_hat, coeffs.S, delta, q_lo, q_hi)
-                covered[(mo.name, meth)] += int(lo_end < target < hi_end)
-                lengths[(mo.name, meth)] += hi_end - lo_end
+                sa, sb, coeffs = compared[k]
+                used[mo.name] += 1
+                d_hat = scaled_discrepancy(sa, sb)
+                delta = smoothing_noise(m, n, cfg.c_delta, rng)
+                target = d_true[mo.name]
+                for meth in cfg.methods:
+                    if meth == "edgeworth":
+                        q_lo = cornish_fisher(coeffs, alpha / 2.0)
+                        q_hi = cornish_fisher(coeffs, 1.0 - alpha / 2.0)
+                    elif meth == "normal":
+                        q_lo = norm_quantile(alpha / 2.0)
+                        q_hi = norm_quantile(1.0 - alpha / 2.0)
+                    else:
+                        boot = bootstrap_distribution(
+                            nets_a[k].graph, nets_b[k].graph, mo, meth,
+                            n_boot=cfg.n_boot,
+                            rng=spawn_rng(cfg.seed, "cov-boot", meth, m, n, rep),
+                            center=d_hat, c_delta=cfg.c_delta,
+                        )
+                        if len(boot.values) < max(10, cfg.n_boot // 4):
+                            continue
+                        q_lo, q_hi = np.quantile(boot.values, [alpha / 2.0, 1.0 - alpha / 2.0])
+                    if q_lo >= q_hi:
+                        continue
+                    lo_end, hi_end = interval_from_quantiles(d_hat, coeffs.S, delta, q_lo, q_hi)
+                    covered[(mo.name, meth)] += int(lo_end < target < hi_end)
+                    lengths[(mo.name, meth)] += hi_end - lo_end
     return covered, lengths, used, skipped, clamps
 
 

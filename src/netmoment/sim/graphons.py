@@ -182,6 +182,27 @@ class SampledNetwork:
     clamp_count: int
 
 
+# Node pairs up to which sample_network keeps np.triu_indices(m, 1) (1 MiB of
+# indices): the harness samples a few such sizes thousands of times, while a
+# larger network is sampled rarely and its indices should not outlive it.
+_CACHED_PAIRS = 1 << 16
+
+
+def _upper_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(m, 1), read-only and cached for small m."""
+    if m * (m - 1) // 2 > _CACHED_PAIRS:
+        return np.triu_indices(m, k=1)
+    return _cached_upper_pairs(m)
+
+
+@lru_cache(maxsize=4)
+def _cached_upper_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    iu, ju = np.triu_indices(m, k=1)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
+
+
 def sample_network(
     graphon: Graphon, rho: float, m: int, rng: np.random.Generator
 ) -> SampledNetwork:
@@ -191,7 +212,7 @@ def sample_network(
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must be in (0,1], got {rho}")
     x = rng.random(m)
-    iu, ju = np.triu_indices(m, k=1)
+    iu, ju = _upper_pairs(m)
     w = rho * np.asarray(graphon.f(x[iu], x[ju]), dtype=np.float64)
     clamped = int(np.count_nonzero((w > 1.0) | (w < 0.0)))
     w = np.clip(w, 0.0, 1.0)
@@ -199,4 +220,4 @@ def sample_network(
     adj = np.zeros((m, m), dtype=bool)
     adj[iu, ju] = edges
     adj[ju, iu] = edges
-    return SampledNetwork(graph=Graph(adj), latents=x, clamp_count=clamped)
+    return SampledNetwork(graph=Graph(adj, _owned=True), latents=x, clamp_count=clamped)

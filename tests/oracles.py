@@ -5,12 +5,14 @@ transcribing the estimator formulas one line at a time, with no shared code
 or vectorization tricks from the package under test. Keep it slow and
 obvious; it is the ground truth the fast paths are checked against.
 
-There are two exceptions. `frozen_summary` is a fixed numpy copy of the
+There are three exceptions. `frozen_summary` is a fixed numpy copy of the
 dense summary pipeline (census closed forms, projections, pair matrices and
 the reductions) in its original operation order. It pins the package's
 summary bit for bit while the package reuses buffers in place.
 `frozen_load_edge_list` is the line-by-line edge-list loader that the array
 parser replaced, kept to pin its graphs, reports and error messages.
+`frozen_cdf_chunk` is the one-replicate-at-a-time CDF chunk that the grouped
+harness replaced, kept to pin its outputs byte for byte.
 """
 
 import itertools
@@ -389,3 +391,38 @@ def summary_as_dict(summary):
         "e_a4_a1": summary.e_a4_a1,
         "e_a1a1a2": summary.e_a1a1a2,
     }
+
+
+def frozen_cdf_chunk(cfg, m, n, d_true, grid, cap_phi, lo, hi):
+    """The CDF experiment chunk, one replicate at a time. Change nothing here."""
+    from netmoment.edgeworth import combine, smoothing_noise, summarize
+    from netmoment.inference import scaled_discrepancy
+    from netmoment.motif import motif_from_spec
+    from netmoment.projections import DegenerateGraphError
+    from netmoment.rng import spawn_rng
+    from netmoment.sim.experiments import _sample_pair
+
+    motif = motif_from_spec(cfg.motif)
+    u2p1 = grid * grid + 1.0
+    phi_grid = np.exp(-0.5 * grid * grid) / np.sqrt(2.0 * np.pi)
+
+    t_values = []
+    g_sum = np.zeros_like(grid)
+    skipped = 0
+    clamps = 0
+    for rep in range(lo, hi):
+        rng = spawn_rng(cfg.seed, "cdf", m, n, rep)
+        sa_net, sb_net = _sample_pair(cfg, m, n, rng)
+        clamps += sa_net.clamp_count + sb_net.clamp_count
+        try:
+            sa = summarize(sa_net.graph, motif)
+            sb = summarize(sb_net.graph, motif)
+            coeffs = combine(sa, sb)
+        except DegenerateGraphError:
+            skipped += 1
+            continue
+        delta = smoothing_noise(m, n, cfg.c_delta, rng)
+        t_values.append((scaled_discrepancy(sa, sb) - d_true) / coeffs.S + delta)
+        corr = coeffs.Q1 + coeffs.Q2 * u2p1 + coeffs.I0
+        g_sum += np.clip(cap_phi - phi_grid * corr, 0.0, 1.0)
+    return t_values, g_sum, skipped, clamps

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -186,6 +188,45 @@ def test_graph_validation():
         nm.Graph.from_edges(3, [(-1, 0)])
     with pytest.raises(ValueError, match=r"\(0, 3\)"):
         nm.Graph.from_edges(3, [(0, 3)])
+
+
+@pytest.mark.parametrize("cell", [(0, 1), (450, 3), (599, 598)])
+def test_symmetry_check_covers_every_block(cell):
+    # 109 rows per block at m = 600, so the cells fall in the first, a middle
+    # and the last block; a self-loop is caught as well
+    adj = random_graph(600, 0.1, spawn_rng(8, "blocks")).adj.copy()
+    adj[cell] = not adj[cell]
+    with pytest.raises(ValueError, match="not symmetric"):
+        nm.Graph(adj)
+    adj[cell] = not adj[cell]
+    adj[cell[0], cell[0]] = True
+    with pytest.raises(ValueError, match="diagonal"):
+        nm.Graph(adj)
+
+
+def test_graph_owns_a_copy_of_a_public_adjacency():
+    adj = random_graph(20, 0.3, spawn_rng(2, "copy")).adj.copy()
+    g = nm.Graph(adj)
+    adj[0, 1] = adj[1, 0] = not adj[0, 1]
+    assert g.adj[0, 1] != adj[0, 1]
+    assert nm.Graph(adj.astype(np.int8)).adj.dtype == bool
+
+
+def test_load_holds_one_adjacency(tmp_path):
+    # m = 5000 and 75 k edges: the adjacency alone is 23.8 MiB, and the loader
+    # used to hold a second copy of it while the graph was built
+    m = 5000
+    uv = spawn_rng(5, "load-peak").integers(0, m, size=(75_000, 2))
+    path = tmp_path / "big.txt"
+    path.write_text(f"%nodes {m}\n" + "".join(f"{u} {v}\n" for u, v in uv.tolist()))
+    tracemalloc.start()
+    try:
+        g = nm.load_edge_list(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.m == m and not g.adj.flags.writeable
+    assert peak < 32 * 2**20
 
 
 def test_adjacency_frozen(p3):

@@ -13,6 +13,7 @@ from netmoment.sim import (
     population_scaled_moment_exact,
     sample_network,
 )
+from netmoment.sim import graphons
 from netmoment.sim.graphons import normalization_integral
 
 PAPER_TAUS = {
@@ -178,3 +179,13 @@ def test_population_moment_requires_enough_samples():
 def test_population_moment_quadrature_warns_on_clamp():
     with pytest.warns(RuntimeWarning):
         population_scaled_moment_exact(builtin_graphon("SmoothGraphon-2"), TRIANGLE, 0.4)
+
+
+@pytest.mark.parametrize("m", [2, 40, 362, 363, 400])
+def test_upper_pairs_are_triu_indices(m):
+    iu, ju = graphons._upper_pairs(m)
+    want_i, want_j = np.triu_indices(m, 1)
+    assert np.array_equal(iu, want_i) and np.array_equal(ju, want_j)
+    # small sizes are kept, read-only; larger ones are built per call
+    assert (graphons._upper_pairs(m)[0] is iu) == (m <= 362)
+    assert iu.flags.writeable == (m > 362)
