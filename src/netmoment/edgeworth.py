@@ -10,9 +10,9 @@ own summation order. All population
 quantities are replaced by their plug-in estimates.
 
 `summarize_many` runs the same kernel over a stack of same-size graphs, with
-a leading batch axis on every array: 2^16 / m^2 graphs of m nodes at a time
-(40 at m = 40, 2 at m = 160), and a graph of more than 2^16 pairs alone.
-numpy sums each graph's row of a stacked array as it sums that graph alone,
+a leading batch axis on every array: 2^16 / m^2 graphs of m <= 90 nodes at a
+time (40 at m = 40, 10 at m = 80); a larger graph goes alone, where a stack
+costs as much as it saves or more. numpy sums each graph's row of a stacked array as it sums that graph alone,
 so every summary keeps the bits of `summarize`. The CDF and coverage runners
 summarize their replicates this way. The bootstrap does not: its resampling
 and smoothing draws alternate on one stream, and whether a smoothing draw
@@ -176,10 +176,14 @@ def _pairwise_sum(start: int, n: int, leaf_sum) -> float:
 def _group_size(m: int) -> int:
     """Graphs of m nodes that `summarize_many` summarizes as one stack.
 
-    A group holds at most _LEAF pairs in all, so each pair block is one
-    leaf's worth; a graph of more than _LEAF pairs goes alone.
+    A stack pays only while numpy's per-call overhead outweighs its
+    arithmetic. Graphs of at most _LEAF / 8 pairs (m <= 90) go in stacks of
+    _LEAF // m^2, 8 or more, each stack one leaf; larger graphs go one at a
+    time. Against one graph at a time, a cdf replicate in a stack took 0.6
+    of the time at m = 40, 0.9 at m = 64, 0.75-1.0 at m = 80, about the same
+    at m = 100 and 160, and 1.3-1.4 at m = 128 (2 vCPUs, one BLAS thread).
     """
-    return max(1, _LEAF // (m * m))
+    return _LEAF // (m * m) if 8 * m * m <= _LEAF else 1
 
 
 def summarize(g: Graph, motif: Motif, network_id: str = "") -> NetworkSummary:

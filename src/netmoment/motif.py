@@ -153,8 +153,10 @@ class _TwoWalks:
     integers: CSR expands each row's walks with `repeat` and counts them with
     `bincount` (sum_k d_k^2 work in all), and float32 BLAS multiplies 0/1
     values whose partial sums stay below m < 2^24. Rows come back as float64.
-    The float32 copy of the adjacency lives from a pass's first block to its
-    last, which ends at row m.
+    The float32 copy of the adjacency, and the CSR path's walk and row
+    buffers, live from a pass's first block to its last, which ends at row
+    m; a sparse block of rows is a view of the row buffer, valid until the
+    next call.
 
     The node pass reduces the rows in blocks of at most _BLOCK pairs:
     `tri_per_node` is the per-row sum of A @ A * A over two, the triangles
@@ -168,6 +170,8 @@ class _TwoWalks:
         self._sparse = sparse
         self._full = None
         self._a32 = None
+        self._walk = self._iota = None  # positions and cells of a block's walks
+        self._out = None  # float64 rows of a block
         if sparse:
             self._nbr = np.nonzero(adj)[1]  # row-major, so grouped by row
             self._start = np.zeros(m + 1, dtype=np.int64)
@@ -201,13 +205,23 @@ class _TwoWalks:
         mid = nbr[start[lo]:start[hi]]  # k of every walk i - k - j, by row
         first = start[mid]
         count = start[mid + 1] - first  # the d_k walks through each k
-        owner = np.repeat(np.arange(hi - lo) * m, np.diff(start[lo:hi + 1]))
         ends = np.cumsum(count)
-        pos = np.arange(ends[-1] if ends.size else 0)
-        pos += np.repeat(first - (ends - count), count)
-        cell = np.repeat(owner, count) + nbr[pos]
-        counts = np.bincount(cell, minlength=(hi - lo) * m)
-        return counts.reshape(hi - lo, m).astype(np.float64)
+        n = int(ends[-1]) if ends.size else 0
+        if self._walk is None or self._walk.shape[1] < n:
+            self._walk = np.empty((2, n + n // 2), dtype=np.int64)
+            self._iota = np.arange(n + n // 2)
+        if self._out is None or self._out.size < (hi - lo) * m:
+            self._out = np.empty((hi - lo) * m)
+        pos, cell = self._walk[:, :n]
+        np.add(self._iota[:n], np.repeat(first - (ends - count), count), out=pos)
+        np.take(nbr, pos, out=cell, mode="wrap")  # "raise" would buffer `out`
+        owner = np.repeat(np.arange(hi - lo) * m, np.diff(start[lo:hi + 1]))
+        cell += np.repeat(owner, count)
+        out = self._out[:(hi - lo) * m].reshape(hi - lo, m)
+        np.copyto(out.reshape(-1), np.bincount(cell, minlength=out.size))
+        if hi == m:  # every pass ends with the last row
+            self._walk = self._iota = self._out = None
+        return out
 
 
 class _StackedWalks:

@@ -182,25 +182,26 @@ class SampledNetwork:
     clamp_count: int
 
 
-# Node pairs up to which sample_network keeps np.triu_indices(m, 1) (1 MiB of
-# indices): the harness samples a few such sizes thousands of times, while a
-# larger network is sampled rarely and its indices should not outlive it.
-_CACHED_PAIRS = 1 << 16
+# Node pairs of np.triu_indices(m, 1) that sample_network keeps, over all m
+# (2 MiB of indices). Sizes are kept as they first come until the next would
+# not fit, and are never evicted: perfbench's query store samples 31 sizes
+# (m = 30..60, 32 k pairs) 3000 times, the harness configs a few sizes up to
+# m = 300 (62 k pairs), and a larger network (m > 512) is never kept.
+_CACHED_PAIRS = 1 << 17
+_upper_pairs_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _upper_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(m, 1), read-only and cached for small m."""
-    if m * (m - 1) // 2 > _CACHED_PAIRS:
-        return np.triu_indices(m, k=1)
-    return _cached_upper_pairs(m)
-
-
-@lru_cache(maxsize=4)
-def _cached_upper_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    iu, ju = np.triu_indices(m, k=1)
-    iu.setflags(write=False)
-    ju.setflags(write=False)
-    return iu, ju
+    """np.triu_indices(m, 1), read-only and cached while the budget lasts."""
+    pairs = _upper_pairs_cache.get(m)
+    if pairs is None:
+        pairs = np.triu_indices(m, k=1)
+        kept = sum(iu.size for iu, _ in _upper_pairs_cache.values())
+        if kept + pairs[0].size <= _CACHED_PAIRS:
+            for idx in pairs:
+                idx.setflags(write=False)
+            _upper_pairs_cache[m] = pairs
+    return pairs
 
 
 def sample_network(

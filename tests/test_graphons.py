@@ -181,11 +181,15 @@ def test_population_moment_quadrature_warns_on_clamp():
         population_scaled_moment_exact(builtin_graphon("SmoothGraphon-2"), TRIANGLE, 0.4)
 
 
-@pytest.mark.parametrize("m", [2, 40, 362, 363, 400])
-def test_upper_pairs_are_triu_indices(m):
-    iu, ju = graphons._upper_pairs(m)
-    want_i, want_j = np.triu_indices(m, 1)
-    assert np.array_equal(iu, want_i) and np.array_equal(ju, want_j)
-    # small sizes are kept, read-only; larger ones are built per call
-    assert (graphons._upper_pairs(m)[0] is iu) == (m <= 362)
-    assert iu.flags.writeable == (m > 362)
+def test_upper_pairs_are_triu_indices(monkeypatch):
+    monkeypatch.setattr(graphons, "_upper_pairs_cache", {})
+    # sizes are kept, read-only, as they come until the next passes the
+    # 2^17-pair budget (m = 512 alone has 130816 pairs); others are built per call
+    for m, kept in ((2, True), (40, True), (300, True), (400, True), (512, False),
+                    (30, True), (1000, False)):
+        iu, ju = graphons._upper_pairs(m)
+        want_i, want_j = np.triu_indices(m, 1)
+        assert np.array_equal(iu, want_i) and np.array_equal(ju, want_j)
+        assert (graphons._upper_pairs(m)[0] is iu) == kept, m
+        assert iu.flags.writeable != kept
+    assert sum(iu.size for iu, _ in graphons._upper_pairs_cache.values()) <= 1 << 17

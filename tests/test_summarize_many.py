@@ -77,18 +77,29 @@ def test_grouped_summaries_match_frozen_summary_bit_for_bit(m, kinds, seed, moti
     assert_matches_oracle(mixed_group(m, kinds, seed), motif_by_name(motif_name))
 
 
-@pytest.mark.parametrize("m", [100, 128, 160, 256, 300])
+@pytest.mark.parametrize("m", [64, 80, 90])
 def test_grouped_summaries_at_the_group_rule_sizes(m):
-    # groups of 6, 4, 2 and 1 graphs; m = 300 spans several leaves
-    kinds = ["random"] * (2 * _group_size(m) + 1) + ["empty"]
+    kinds = ["random"] * (2 * _group_size(m) + 1) + ["empty"]  # 16, 10 and 8 a stack
+    graphs = mixed_group(m, kinds, seed=m)
+    for name in ("edge", "vshape", "triangle"):
+        assert_matches_oracle(graphs, motif_by_name(name))
+
+
+@pytest.mark.parametrize("m", [100, 128, 160, 256, 300])
+def test_grouped_summaries_of_larger_graphs(m, monkeypatch):
+    # the rule sends m > 90 one at a time, but the kernel takes a stack of
+    # any size: fill one leaf per stack, so groups of 6, 4, 2 and 1 graphs;
+    # m = 300 spans several leaves
+    monkeypatch.setattr(edgeworth, "_group_size", lambda m: max(1, edgeworth._LEAF // (m * m)))
+    kinds = ["random"] * (2 * edgeworth._group_size(m) + 1) + ["empty"]
     graphs = mixed_group(m, kinds, seed=m)
     for name in ("edge", "vshape", "triangle"):
         assert_matches_oracle(graphs, motif_by_name(name))
 
 
 def test_group_size_rule():
-    assert [_group_size(m) for m in (20, 40, 80, 160, 256, 257, 2000)] == [
-        163, 40, 10, 2, 1, 1, 1]
+    assert [_group_size(m) for m in (4, 20, 40, 80, 90, 91, 160, 2000)] == [
+        4096, 163, 40, 10, 8, 1, 1, 1]
     assert summarize_many([], nm.TRIANGLE) == []
     with pytest.raises(ValueError, match="one size"):
         summarize_many(mixed_group(30, ["random"], 1) + mixed_group(31, ["random"], 1),
