@@ -12,13 +12,13 @@ quantities are replaced by their plug-in estimates.
 `summarize_many` runs the same kernel over a stack of same-size graphs, with
 a leading batch axis on every array: 2^16 / m^2 graphs of m <= 90 nodes at a
 time (40 at m = 40, 10 at m = 80); a larger graph goes alone, where a stack
-costs as much as it saves or more. numpy sums each graph's row of a stacked array as it sums that graph alone,
-so every summary keeps the bits of `summarize`. The CDF and coverage runners
-summarize their replicates this way. The bootstrap does not: its resampling
-and smoothing draws alternate on one stream, and whether a smoothing draw
-happens depends on the summary just computed. `combine` then turns two
-summaries into the studentizer S and the three correction coefficients
-(I0, Q1, Q2) of the expanded CDF
+costs as much as it saves or more. numpy sums each graph's row of a stacked
+array as it sums that graph alone, so every summary keeps the bits of
+`summarize`. The CDF and coverage runners summarize their replicates this
+way. The bootstrap does not: its resampling and smoothing draws alternate on
+one stream, and whether a smoothing draw happens depends on the summary just
+computed. `combine` then turns two summaries into the studentizer S and the
+three correction coefficients (I0, Q1, Q2) of the expanded CDF
 
     G(u) = Phi(u) - phi(u) * (Q1 + Q2 (u^2 + 1) + I0),
 
