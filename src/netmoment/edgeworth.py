@@ -271,7 +271,9 @@ def _summaries(g: Graph | GraphStack, motif: Motif, network_ids: list) -> list:
             else:
                 rp = {k: rho ** (-k) for k in powers}
 
-            alpha1 = r * rp[s] * g1 - 2.0 * s * rp[s + 1] * u_hat * grho1
+            a1_moment = r * rp[s] * g1  # the two terms of alpha1
+            a1_density = 2.0 * s * rp[s + 1] * u_hat * grho1
+            alpha1 = a1_moment - a1_density
             alpha0 = (
                 2.0 * s * (s + 1) * rp[s + 2] * u_hat * xi_rho
                 - 2.0 * r * s * rp[s + 1] * xi_x
@@ -366,10 +368,7 @@ def _summaries(g: Graph | GraphStack, motif: Motif, network_ids: list) -> list:
             # (edge motif: the scaled moment is the constant 1) the residual
             # variance is pure floating-point noise, so snap it to zero and
             # let the pairwise degeneracy gate reject the summary cleanly
-            cancel_floor = 1e-26 * (
-                _mean((r * rp[s] * g1) ** 2)
-                + _mean((2.0 * s * rp[s + 1] * u_hat * grho1) ** 2)
-            )
+            cancel_floor = 1e-26 * (_mean(a1_moment ** 2) + _mean(a1_density ** 2))
         except (FloatingPointError, OverflowError) as exc:
             raise DegenerateGraphError(
                 f"sparsity too extreme for motif {motif.name}: {exc}"
