@@ -109,8 +109,9 @@ class GraphStack:
     `adj` is (B, m, m) and `degrees` (B, m), in the order of `graphs`. The
     motif census, the projections and the pair rows take a stack wherever
     they take a Graph; each value they return then has the batch axis, and a
-    scalar becomes a (B,) array. A stack caches its A @ A node pass as a
-    graph does.
+    scalar becomes a (B,) array. A stack caches its own A @ A node pass, one
+    batched product over every member; the members' own caches are left
+    untouched.
     """
 
     __slots__ = ("graphs", "m", "adj", "degrees", "_two_walks")

@@ -158,13 +158,17 @@ class _TwoWalks:
     m; a sparse block of rows is a view of the row buffer, valid until the
     next call.
 
+    A GraphStack takes the dense path: one batched `matmul` multiplies every
+    member, and each array has the stack's batch axis leading. Its members
+    build no pass of their own.
+
     The node pass reduces the rows in blocks of at most _BLOCK pairs:
     `tri_per_node` is the per-row sum of A @ A * A over two, the triangles
     through each node, and `cherry_ends` is A @ (d - 1), the per-row sum of
     A @ A minus the degree. Both are exact integers.
     """
 
-    def __init__(self, g: Graph, sparse: bool):
+    def __init__(self, g: Graph | GraphStack, sparse: bool):
         adj, m = g.adj, g.m
         self._adj, self._m = adj, m
         self._sparse = sparse
@@ -176,14 +180,14 @@ class _TwoWalks:
             self._nbr = np.nonzero(adj)[1]  # row-major, so grouped by row
             self._start = np.zeros(m + 1, dtype=np.int64)
             np.cumsum(g.degrees, out=self._start[1:])
-        tri2 = np.empty(m)
-        walks = np.empty(m)
+        tri2 = np.empty(g.degrees.shape)
+        walks = np.empty(g.degrees.shape)
         step = max(1, _BLOCK // m)
         for lo in range(0, m, step):
             hi = min(lo + step, m)
             n2 = self.rows(lo, hi)
-            tri2[lo:hi] = (n2 * adj[lo:hi]).sum(axis=1)
-            walks[lo:hi] = n2.sum(axis=1)
+            tri2[..., lo:hi] = (n2 * adj[..., lo:hi, :]).sum(axis=-1)
+            walks[..., lo:hi] = n2.sum(axis=-1)
         if step >= m:
             n2.setflags(write=False)
             self._full = n2
@@ -193,11 +197,11 @@ class _TwoWalks:
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """Rows lo:hi of A @ A as float64; read-only when cached."""
         if self._full is not None:
-            return self._full[lo:hi]
+            return self._full[..., lo:hi, :]
         if not self._sparse:
             if self._a32 is None:
                 self._a32 = self._adj.astype(np.float32)
-            n2 = (self._a32[lo:hi] @ self._a32).astype(np.float64)
+            n2 = (self._a32[..., lo:hi, :] @ self._a32).astype(np.float64)
             if hi == self._m:  # every pass ends with the last row
                 self._a32 = None
             return n2
@@ -224,30 +228,17 @@ class _TwoWalks:
         return out
 
 
-class _StackedWalks:
-    """The members' `_TwoWalks` of a GraphStack, with the batch axis leading."""
+def _two_walks(g: Graph | GraphStack) -> _TwoWalks:
+    """The graph's or stack's `_TwoWalks`, built on first use and cached on it.
 
-    def __init__(self, stack: GraphStack):
-        self._walks = [_two_walks(g) for g in stack.graphs]
-        self.tri_per_node = np.stack([w.tri_per_node for w in self._walks])
-        self.cherry_ends = np.stack([w.cherry_ends for w in self._walks])
-
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        return np.stack([w.rows(lo, hi) for w in self._walks])
-
-
-def _two_walks(g: Graph | GraphStack) -> _TwoWalks | _StackedWalks:
-    """The graph's `_TwoWalks`, built on first use and cached on the graph.
-
-    A stack reads its members' cached passes, so a graph shares one node
-    pass between every motif, whether it is summarized alone or in a stack.
+    A graph shares its node pass between every motif summarized from it. Only
+    a single graph whose squared degrees sum to less than m^3 / _SPARSE_RATIO
+    takes the CSR rows; a stack, whose pass is one batched product, is dense.
     """
     if g._two_walks is None:
-        if isinstance(g, GraphStack):
-            g._two_walks = _StackedWalks(g)
-        else:
-            d = g.degrees
-            g._two_walks = _TwoWalks(g, sparse=int(d @ d) * _SPARSE_RATIO < g.m ** 3)
+        d = g.degrees
+        sparse = d.ndim == 1 and int(d @ d) * _SPARSE_RATIO < g.m ** 3
+        g._two_walks = _TwoWalks(g, sparse)
     return g._two_walks
 
 
@@ -259,10 +250,7 @@ def _zero_diagonal(block: np.ndarray, lo: int) -> None:
     the flat view writes through.
     """
     step = block.shape[-1] + 1
-    if block.ndim == 2:
-        block.reshape(-1)[lo::step] = 0.0
-    else:
-        block.reshape(len(block), -1)[:, lo::step] = 0.0
+    block.reshape(-1, block.shape[-2] * block.shape[-1])[:, lo::step] = 0.0
 
 
 def _float(x):
@@ -285,8 +273,8 @@ class MomentCensus:
 def moment_census(g: Graph | GraphStack, motif: Motif, want_pairs: bool = False) -> MomentCensus:
     """Compute u_hat and the per-node (optionally per-pair) averages together.
 
-    The r = 3 closed forms read the graph's node pass over A @ A, which runs
-    once per graph whatever the motif; the full pair matrix is
+    The r = 3 closed forms read the node pass over A @ A, which runs once
+    per graph or stack whatever the motif; the full pair matrix is
     `pair_avg_rows` over all rows. The closed form is picked by the motif's
     shape (r, s), whatever its name.
     """

@@ -327,7 +327,8 @@ def _coverage_chunk(cfg: CoverageConfig, m: int, n: int, d_true: dict, lo: int, 
     clamps = 0
     for reps, rngs, nets_a, nets_b in _replicate_groups(cfg, "cov", m, n, lo, hi):
         clamps += sum(net.clamp_count for net in nets_a + nets_b)
-        # one node pass per network serves every motif
+        # a graph summarized alone shares its node pass between the motifs; a
+        # stack of small graphs runs one batched pass per motif
         by_motif = [_compared(nets_a, nets_b, mo) for mo in motifs]
         for k, (rep, rng) in enumerate(zip(reps, rngs)):
             for mo, compared in zip(motifs, by_motif):

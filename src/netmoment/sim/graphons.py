@@ -49,9 +49,12 @@ def _raw_sg5(u, v):
 
 def _raw_sg6(u, v):
     rsq = np.asarray(u) ** 2 + np.asarray(v) ** 2
-    safe = np.where(rsq > 0.0, rsq, 1.0)
-    osc = np.where(rsq > 0.0, rsq / 3.0 * np.cos(1.0 / safe), 0.0)
-    return osc + 0.15
+    inside = rsq > 0.0
+    # in place: the sampler evaluates this on a whole m x m grid
+    osc = np.where(inside, rsq, 1.0)
+    np.cos(np.divide(1.0, osc, out=osc), out=osc)
+    osc *= rsq / 3.0
+    return np.where(inside, osc, 0.0) + 0.15
 
 
 # closed-form normalizers: 1 / integral of the raw form over [0,1]^2
@@ -182,43 +185,29 @@ class SampledNetwork:
     clamp_count: int
 
 
-# Node pairs of np.triu_indices(m, 1) that sample_network keeps, over all m
-# (2 MiB of indices). Sizes are kept as they first come until the next would
-# not fit, and are never evicted: perfbench's query store samples 31 sizes
-# (m = 30..60, 32 k pairs) 3000 times, the harness configs a few sizes up to
-# m = 300 (62 k pairs), and a larger network (m > 512) is never kept.
-_CACHED_PAIRS = 1 << 17
-_upper_pairs_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _upper_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(m, 1), read-only and cached while the budget lasts."""
-    pairs = _upper_pairs_cache.get(m)
-    if pairs is None:
-        pairs = np.triu_indices(m, k=1)
-        kept = sum(iu.size for iu, _ in _upper_pairs_cache.values())
-        if kept + pairs[0].size <= _CACHED_PAIRS:
-            for idx in pairs:
-                idx.setflags(write=False)
-            _upper_pairs_cache[m] = pairs
-    return pairs
-
-
 def sample_network(
     graphon: Graphon, rho: float, m: int, rng: np.random.Generator
 ) -> SampledNetwork:
-    """Draw latent positions, clamp edge probabilities, flip independent edges."""
+    """Draw latent positions, clamp edge probabilities, flip independent edges.
+
+    The graphon is evaluated once on the m x m grid of latent pairs, and the
+    pairs i < j are kept in row-major order, the order of
+    `np.triu_indices(m, 1)`; one uniform draw per kept pair decides its edge.
+    The grid is the largest transient, 8 bytes per node pair.
+    """
     if m < 2:
         raise ValueError("need m >= 2")
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must be in (0,1], got {rho}")
     x = rng.random(m)
-    iu, ju = _upper_pairs(m)
-    w = rho * np.asarray(graphon.f(x[iu], x[ju]), dtype=np.float64)
+    node = np.arange(m)
+    upper = node[:, None] < node
+    w = rho * np.asarray(graphon.f(x[:, None], x), dtype=np.float64)[upper]
     clamped = int(np.count_nonzero((w > 1.0) | (w < 0.0)))
-    w = np.clip(w, 0.0, 1.0)
+    # a uniform draw in [0, 1) is below every w > 1 and below no w < 0, so
+    # the comparison itself clamps w into [0, 1]
     edges = rng.random(w.shape[0]) < w
     adj = np.zeros((m, m), dtype=bool)
-    adj[iu, ju] = edges
-    adj[ju, iu] = edges
+    adj[upper] = edges
+    adj.T[upper] = edges
     return SampledNetwork(graph=Graph(adj, _owned=True), latents=x, clamp_count=clamped)

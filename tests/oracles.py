@@ -5,7 +5,7 @@ transcribing the estimator formulas one line at a time, with no shared code
 or vectorization tricks from the package under test. Keep it slow and
 obvious; it is the ground truth the fast paths are checked against.
 
-There are three exceptions. `frozen_summary` is a fixed numpy copy of the
+There are four exceptions. `frozen_summary` is a fixed numpy copy of the
 dense summary pipeline (census closed forms, projections, pair matrices and
 the reductions) in its original operation order. It pins the package's
 summary bit for bit while the package reuses buffers in place.
@@ -13,6 +13,8 @@ summary bit for bit while the package reuses buffers in place.
 parser replaced, kept to pin its graphs, reports and error messages.
 `frozen_cdf_chunk` is the one-replicate-at-a-time CDF chunk that the grouped
 harness replaced, kept to pin its outputs byte for byte.
+`frozen_sample_network` is the sampler that drew its edges over
+`np.triu_indices` pairs, kept to pin every draw bit for bit.
 """
 
 import itertools
@@ -426,3 +428,25 @@ def frozen_cdf_chunk(cfg, m, n, d_true, grid, cap_phi, lo, hi):
         corr = coeffs.Q1 + coeffs.Q2 * u2p1 + coeffs.I0
         g_sum += np.clip(cap_phi - phi_grid * corr, 0.0, 1.0)
     return t_values, g_sum, skipped, clamps
+
+
+def frozen_sample_network(graphon, rho, m, rng):
+    """The network sampler over `np.triu_indices` pairs, as it was before the
+    whole-grid sampler. Change nothing here: its adjacency, latents and clamp
+    count are what `sample_network` must reproduce."""
+    from netmoment.sim.graphons import SampledNetwork
+
+    if m < 2:
+        raise ValueError("need m >= 2")
+    if not 0.0 < rho <= 1.0:
+        raise ValueError(f"rho must be in (0,1], got {rho}")
+    x = rng.random(m)
+    iu, ju = np.triu_indices(m, k=1)
+    w = rho * np.asarray(graphon.f(x[iu], x[ju]), dtype=np.float64)
+    clamped = int(np.count_nonzero((w > 1.0) | (w < 0.0)))
+    w = np.clip(w, 0.0, 1.0)
+    edges = rng.random(w.shape[0]) < w
+    adj = np.zeros((m, m), dtype=bool)
+    adj[iu, ju] = edges
+    adj[ju, iu] = edges
+    return SampledNetwork(graph=Graph(adj, _owned=True), latents=x, clamp_count=clamped)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from netmoment.sim import (
     population_scaled_moment_exact,
     sample_network,
 )
-from netmoment.sim import graphons
 from netmoment.sim.graphons import normalization_integral
+
+from oracles import frozen_sample_network
 
 PAPER_TAUS = {
     "SmoothGraphon-1": 1.0,
@@ -181,15 +183,31 @@ def test_population_moment_quadrature_warns_on_clamp():
         population_scaled_moment_exact(builtin_graphon("SmoothGraphon-2"), TRIANGLE, 0.4)
 
 
-def test_upper_pairs_are_triu_indices(monkeypatch):
-    monkeypatch.setattr(graphons, "_upper_pairs_cache", {})
-    # sizes are kept, read-only, as they come until the next passes the
-    # 2^17-pair budget (m = 512 alone has 130816 pairs); others are built per call
-    for m, kept in ((2, True), (40, True), (300, True), (400, True), (512, False),
-                    (30, True), (1000, False)):
-        iu, ju = graphons._upper_pairs(m)
-        want_i, want_j = np.triu_indices(m, 1)
-        assert np.array_equal(iu, want_i) and np.array_equal(ju, want_j)
-        assert (graphons._upper_pairs(m)[0] is iu) == kept, m
-        assert iu.flags.writeable != kept
-    assert sum(iu.size for iu, _ in graphons._upper_pairs_cache.values()) <= 1 << 17
+@pytest.mark.parametrize("name", BUILTIN_GRAPHON_NAMES)
+def test_sample_network_matches_frozen_sampler_bit_for_bit(name):
+    graphon = builtin_graphon(name)
+    for rho in (0.05, 0.25, 0.6, 1.0):
+        for m in (2, 3, 5, 33, 100, 257):
+            rng, frozen_rng = (spawn_rng(m, "frozen-sampler", name, str(rho)) for _ in range(2))
+            got = sample_network(graphon, rho, m, rng)
+            want = frozen_sample_network(graphon, rho, m, frozen_rng)
+            assert np.array_equal(got.graph.adj, want.graph.adj), (rho, m)
+            assert got.latents.tobytes() == want.latents.tobytes(), (rho, m)
+            assert got.clamp_count == want.clamp_count, (rho, m)
+            assert rng.random() == frozen_rng.random()  # the same draws were taken
+
+
+@pytest.mark.parametrize("name,rho", [("SmoothGraphon-3", 0.02), ("BlockModel-3", 0.016)])
+def test_sample_network_peak_memory(name, rho):
+    # the graphon grid is the one m x m float64 transient: 8 bytes per node
+    # pair, plus the boolean adjacency and the kept pairs' probabilities
+    m = 1500
+    graphon = builtin_graphon(name)
+    tracemalloc.start()
+    try:
+        net = sample_network(graphon, rho, m, spawn_rng(3, "sampler-peak", name))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert net.graph.m == m
+    assert peak < 20 * m * m, peak / (m * m)

@@ -7,6 +7,7 @@ import netmoment as nm
 from netmoment import edgeworth
 from netmoment import motif as nm_motif
 from netmoment.edgeworth import SUMMARY_FIELDS
+from netmoment.graph import GraphStack
 from netmoment.motif import moment_census, motif_by_name, motif_from_spec
 from netmoment.rng import spawn_rng
 
@@ -207,6 +208,32 @@ def test_two_walk_rows_are_exact(m, sparse, monkeypatch):
             rows = walks.rows(lo, hi)
             assert rows.dtype == np.float64
             assert np.array_equal(rows, want[lo:hi])
+
+
+@pytest.mark.parametrize("b", [1, 3, 40])
+@pytest.mark.parametrize("m", [4, 20, 90])
+def test_stacked_node_pass_matches_each_members_own(m, b, monkeypatch):
+    rng = spawn_rng(m, "stacked-walks", b)
+    # every other member is sparse enough to take the CSR rows alone
+    graphs = [random_graph(m, 0.02 if k % 2 else rng.uniform(0.2, 0.8), rng)
+              for k in range(b)]
+    csr_alone = [int(g.degrees @ g.degrees) * nm_motif._SPARSE_RATIO < m ** 3 for g in graphs]
+    assert any(csr_alone) == (b > 1) and not all(csr_alone)
+    ranges = [(0, m), (m - 1, m)] + [
+        tuple(sorted(rng.choice(m + 1, size=2, replace=False))) for _ in range(3)]
+    cached = nm_motif._two_walks(GraphStack(graphs))
+    monkeypatch.setattr(nm_motif, "_BLOCK", 1)  # one row per block, nothing cached
+    blocked = nm_motif._TwoWalks(GraphStack(graphs), sparse=False)
+    for k, g in enumerate(graphs):
+        for own in (nm_motif._TwoWalks(g, sparse=True), nm_motif._TwoWalks(g, sparse=False)):
+            for walks in (cached, blocked):
+                assert np.array_equal(walks.tri_per_node[k], own.tri_per_node)
+                assert np.array_equal(walks.cherry_ends[k], own.cherry_ends)
+                for lo, hi in ranges:
+                    rows = walks.rows(lo, hi)
+                    assert rows.dtype == np.float64
+                    assert np.array_equal(rows[k], own.rows(lo, hi))
+        assert g._two_walks is None  # the stack's pass is its own
 
 
 @settings(max_examples=30, deadline=None)
