@@ -11,7 +11,8 @@ quantities are replaced by their plug-in estimates.
 
 `summarize_many` runs the same kernel over a stack of same-size graphs, with
 a leading batch axis on every array: 2^16 / m^2 graphs of m <= 90 nodes at a
-time (40 at m = 40, 10 at m = 80); a larger graph goes alone, where a stack
+time (40 at m = 40, 10 at m = 80), each stack built once for all the motifs
+of the call; a larger graph goes alone, where a stack
 costs as much as it saves or more. numpy sums each graph's row of a stacked
 array as it sums that graph alone, so every summary keeps the bits of
 `summarize`. The CDF and coverage runners summarize their replicates this
@@ -26,6 +27,17 @@ clamped to [0, 1]. Quantiles invert the expansion in closed Cornish-Fisher
 form. A tiny artificial Gaussian (the smoothing noise) is available to keep
 the statistic's distribution smooth on discrete-ish networks.
 
+The pair formulas (S^2 and the coefficients, the expanded CDF, the smoothing
+scale) are written once, for one pair of Python floats or for float64
+arrays of many pairs, as a store query scores them; the caller hands them
+the operations besides + - * / (`_FLOAT_OPS` or `_ARRAY_OPS`). They give
+both the same bits: numpy's + - * /, comparisons and sqrt are the correctly
+rounded IEEE operations Python's floats use, and pow, exp, log and erfc run
+through Python's own functions per element, since numpy's vector versions
+differ from them in the last bit for a few percent of inputs. The integer
+sizes they divide by are Python ints, rounded once to a double
+(`_pair_sizes`, `_size_columns`).
+
 No cross-network quantity is ever required: the two sides of every formula
 are computed separately, which is what makes offline hashing possible.
 """
@@ -35,6 +47,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -55,13 +69,54 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def norm_cdf(u: float) -> float:
-    """Standard normal CDF via erfc, accurate in both tails."""
-    return 0.5 * math.erfc(-u / _SQRT2)
+def _elementwise(fn):
+    """fn of each element of a float64 array, by Python's own float arithmetic.
+
+    An element where fn raises (a domain or range error) becomes nan. A
+    Python number, such as the keyword side of a store query, goes to fn
+    as it is, and so raises as fn raises.
+    """
+    def each(x, *args):
+        if not isinstance(x, np.ndarray):
+            return fn(x, *args)
+        values = x.tolist()
+        try:
+            return np.fromiter(map(fn, values, *map(repeat, args)), np.float64, len(values))
+        except (ArithmeticError, ValueError):
+            return np.array([_nan_on_error(fn, v, args) for v in values], dtype=np.float64)
+    return each
 
 
-def norm_pdf(u: float) -> float:
-    return _INV_SQRT_2PI * math.exp(-0.5 * u * u)
+def _nan_on_error(fn, v, args):
+    try:
+        return fn(v, *args)
+    except (ArithmeticError, ValueError):
+        return math.nan
+
+
+# The operations of the pair formulas besides + - * /: Python's own on one
+# pair's floats, and the same per element on float64 arrays of many pairs.
+# numpy's vector pow, exp and log differ from Python's in the last bit for a
+# few percent of inputs, so the arrays do not use them; sqrt is correctly
+# rounded in both (and nan below 0). The clamps are Python's min(x, y)
+# (x unless y < x) and max(x, y) (x unless y > x).
+_FLOAT_OPS = SimpleNamespace(sqrt=math.sqrt, pow=pow, exp=math.exp, log=math.log,
+                             erfc=math.erfc, min=min, max=max)
+_ARRAY_OPS = SimpleNamespace(
+    sqrt=np.sqrt, pow=_elementwise(pow), exp=_elementwise(math.exp),
+    log=_elementwise(math.log), erfc=_elementwise(math.erfc),
+    min=lambda x, y: np.where(y < x, y, x), max=lambda x, y: np.where(y > x, y, x),
+)
+
+
+def norm_cdf(u, ops=_FLOAT_OPS):
+    """Standard normal CDF via erfc, accurate in both tails (of an array of
+    u with ops=_ARRAY_OPS)."""
+    return 0.5 * ops.erfc(-u / _SQRT2)
+
+
+def norm_pdf(u, ops=_FLOAT_OPS):
+    return _INV_SQRT_2PI * ops.exp(-0.5 * u * u)
 
 
 def norm_quantile(alpha: float) -> float:
@@ -134,7 +189,8 @@ class NetworkSummary:
 
 @dataclass(frozen=True)
 class EdgeworthCoeffs:
-    """Studentizer and expansion coefficients for one ordered network pair."""
+    """Studentizer and expansion coefficients for one ordered network pair
+    (or float64 arrays of them, one element per pair, in a store query)."""
 
     m: int
     n: int
@@ -199,40 +255,50 @@ def summarize(g: Graph, motif: Motif, network_id: str = "") -> NetworkSummary:
     return _summaries(g, motif, [network_id])[0]
 
 
-def summarize_many(graphs, motif: Motif) -> list[NetworkSummary | DegenerateGraphError]:
-    """Summaries of same-size graphs, in order, each as `summarize` gives it.
+def summarize_many(graphs, motifs: list[Motif]) -> list[list]:
+    """Summaries of same-size graphs, one list per motif, each as `summarize`
+    gives it.
 
-    Each entry is the graph's NetworkSummary, or the DegenerateGraphError
-    that `summarize` raises for it. Graphs of m nodes go through the kernel
-    in stacks of `_group_size(m)`, with a leading batch axis on every array;
-    each reduction sums every graph's row as it sums that graph alone, so
-    each summary has the bits of `summarize`. A stack whose arithmetic
-    overflows is redone one graph at a time.
+    Entry [j][i] is graph i's NetworkSummary for motifs[j], or the
+    DegenerateGraphError that `summarize` raises for it. Graphs of m nodes
+    go through the kernel in stacks of `_group_size(m)`, with a leading
+    batch axis on every array; each reduction sums every graph's row as it
+    sums that graph alone, so each summary has the bits of `summarize`. A
+    stack is built once for all the motifs, so motifs of r = 3 share its
+    A @ A pass. A stack whose arithmetic overflows for a motif is redone one
+    graph at a time.
     """
     graphs = list(graphs)
     if any(g.m != graphs[0].m for g in graphs):
         raise ValueError("summarize_many needs graphs of one size")
-    out = [None] * len(graphs)
+    out = [[None] * len(graphs) for _ in motifs]
     # graphs that fail the size, empty or complete gate go to summarize,
     # which raises them with its messages
-    live = [i for i, g in enumerate(graphs) if g.m > motif.r and 0.0 < density(g) < 1.0]
+    stackable = [j for j, motif in enumerate(motifs) if graphs and graphs[0].m > motif.r]
+    live = [i for i, g in enumerate(graphs) if stackable and 0.0 < density(g) < 1.0]
     step = _group_size(graphs[0].m) if graphs else 1
     for lo in range(0, len(live), step):
         group = live[lo:lo + step]
-        if len(group) > 1:
+        if len(group) < 2:
+            continue
+        stack = GraphStack([graphs[i] for i in group])
+        for j in stackable:
             try:
-                stacked = _summaries(GraphStack([graphs[i] for i in group]), motif,
-                                     [""] * len(group))
+                stacked = _summaries(stack, motifs[j], [""] * len(group))
             except DegenerateGraphError:  # a member overflowed: one at a time
                 continue
             for i, summary in zip(group, stacked):
-                out[i] = summary
-    for i, g in enumerate(graphs):
-        if out[i] is None:
-            try:
-                out[i] = summarize(g, motif)
-            except DegenerateGraphError as exc:
-                out[i] = exc
+                out[j][i] = summary
+        # free this stack and its node pass before the next stack is built:
+        # holding them over took about 3% longer per cdf chunk at m = 40
+        del stack
+    for motif, summaries in zip(motifs, out):
+        for i, g in enumerate(graphs):
+            if summaries[i] is None:
+                try:
+                    summaries[i] = summarize(g, motif)
+                except DegenerateGraphError as exc:
+                    summaries[i] = exc
     return out
 
 
@@ -408,41 +474,91 @@ def combine(sa: NetworkSummary, sb: NetworkSummary) -> EdgeworthCoeffs:
         raise ValueError(
             f"motif mismatch: {sa.motif_descriptor()} vs {sb.motif_descriptor()}"
         )
-    m, n = sa.n, sb.n
-    s_sq = sa.xi_alpha1_sq / m + sb.xi_alpha1_sq / n
+    sizes = _pair_sizes(sa.n, sb.n)
+    s_sq = _studentizer_sq(sa, sb, sizes)
     if not (s_sq > 0.0 and math.isfinite(s_sq)):
         raise DegenerateGraphError(
             f"degenerate variance: S^2={s_sq} (vertex-transitive or trivial input)"
         )
-    S = math.sqrt(s_sq)
+    coeffs = _expansion(sa, sb, s_sq, sizes, _FLOAT_OPS)
+    for name in ("S", "I0", "Q1", "Q2"):
+        if not math.isfinite(getattr(coeffs, name)):
+            raise DegenerateGraphError(f"non-finite expansion coefficient {name}")
+    return coeffs
 
-    inv3 = S ** -3
-    inv5 = S ** -5
+
+def _pair_sizes(m: int, n: int) -> tuple:
+    """(m, n, m^2, n^2, m^3, n^3, m^2 n, m n^2): the sizes the pair formulas
+    divide by, as Python ints; a float divided by an int is divided by the
+    int's nearest double."""
+    return (m, n, m**2, n**2, m**3, n**3, m**2 * n, m * n**2)
+
+
+def _size_columns(m: int, ns: list[int]) -> tuple:
+    """`_pair_sizes(m, n)` for every n of ns, as float64 columns.
+
+    Each power is taken exactly in Python ints and rounded once to its
+    nearest double (inf if it has none), as a float divided by it would
+    round it: int64 powers overflow at n = 1e9, and a float64 product rounds
+    twice above n of about 9.5e7.
+    """
+    return tuple(map(_doubles, zip(*(_pair_sizes(m, n) for n in ns))))
+
+
+def _doubles(ints) -> np.ndarray:
+    try:
+        return np.array(ints, dtype=np.float64)
+    except OverflowError:
+        return np.array([_nearest_double(k) for k in ints], dtype=np.float64)
+
+
+def _nearest_double(k: int) -> float:
+    try:
+        return float(k)
+    except OverflowError:
+        return math.inf
+
+
+def _studentizer_sq(sa, sb, sizes) -> float:
+    """S^2 = xi_a^2 / m + xi_b^2 / n, for one pair or, with `sb` holding
+    columns and `sizes` from `_size_columns`, for many."""
+    m, n = sizes[:2]
+    return sa.xi_alpha1_sq / m + sb.xi_alpha1_sq / n
+
+
+def _expansion(sa, sb, s_sq, sizes, ops) -> EdgeworthCoeffs:
+    """S and the correction coefficients I0, Q1, Q2 from S^2, unchecked; for
+    one pair, or for columns of pairs as in `_studentizer_sq`."""
+    m, n, m2, n2, m3, n3, m2n, mn2 = sizes
+    S = ops.sqrt(s_sq)
+    inv3 = ops.pow(S, -3)
+    inv5 = ops.pow(S, -5)
     a_side = sa.e_a1_a3 + sa.e_a4_a1
     b_side = sb.e_a1_a3 + sb.e_a4_a1
 
     i0 = (sa.alpha0_hat / m - sb.alpha0_hat / n) / S
-    q1 = 0.5 * inv3 * (-a_side / m**2 + b_side / n**2)
+    q1 = 0.5 * inv3 * (-a_side / m2 + b_side / n2)
     q2 = inv3 * (
-        (sa.e_a1_cubed / 6.0 + sa.e_a1a1a2) / m**2
-        - (sb.e_a1_cubed / 6.0 + sb.e_a1a1a2) / n**2
+        (sa.e_a1_cubed / 6.0 + sa.e_a1a1a2) / m2
+        - (sb.e_a1_cubed / 6.0 + sb.e_a1a1a2) / n2
     ) + 0.5 * inv5 * (
-        (-sa.xi_alpha1_sq / m**3 - sb.xi_alpha1_sq / (m**2 * n)) * a_side
-        + (sa.xi_alpha1_sq / (m * n**2) + sb.xi_alpha1_sq / n**3) * b_side
+        (-sa.xi_alpha1_sq / m3 - sb.xi_alpha1_sq / m2n) * a_side
+        + (sa.xi_alpha1_sq / mn2 + sb.xi_alpha1_sq / n3) * b_side
     )
-    coeffs = EdgeworthCoeffs(m=m, n=n, S=S, I0=i0, Q1=q1, Q2=q2, s_exp=sa.motif_s)
-    for name, value in (("S", S), ("I0", i0), ("Q1", q1), ("Q2", q2)):
-        if not math.isfinite(value):
-            raise DegenerateGraphError(f"non-finite expansion coefficient {name}")
-    return coeffs
+    return EdgeworthCoeffs(m=m, n=n, S=S, I0=i0, Q1=q1, Q2=q2, s_exp=sa.motif_s)
 
 
 def cdf(c: EdgeworthCoeffs, u: float) -> float:
     """Expanded CDF value at u, clamped into [0, 1]."""
     if not math.isfinite(u):
         raise ValueError("u must be finite")
-    value = norm_cdf(u) - norm_pdf(u) * c.correction(u)
-    return min(1.0, max(0.0, value))
+    return _expanded_cdf(c, u, _FLOAT_OPS)
+
+
+def _expanded_cdf(c: EdgeworthCoeffs, u, ops):
+    """`cdf` without its check on u, for a float or for arrays of pairs."""
+    value = norm_cdf(u, ops) - norm_pdf(u, ops) * c.correction(u)
+    return ops.min(1.0, ops.max(0.0, value))
 
 
 def cornish_fisher(c: EdgeworthCoeffs, level: float) -> float:
@@ -463,8 +579,12 @@ def smoothing_noise(m: int, n: int, c_delta: float, rng: np.random.Generator) ->
         raise ValueError("c_delta must be >= 0")
     if c_delta == 0.0:
         return 0.0
-    var = c_delta * (math.log(m) / m + math.log(n) / n)
-    return float(rng.normal(0.0, math.sqrt(var)))
+    return float(rng.normal(0.0, _smoothing_sd(m, n, c_delta, _FLOAT_OPS)))
+
+
+def _smoothing_sd(m, n, c_delta: float, ops):
+    """sqrt(c_delta * (log m / m + log n / n)), for ints or an array of n."""
+    return ops.sqrt(c_delta * (ops.log(m) / m + ops.log(n) / n))
 
 
 def rate_diagnostic(m: int, rho: float, motif: Motif) -> float:

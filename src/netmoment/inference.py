@@ -13,13 +13,26 @@ draw per invocation is recorded in the result for reproducibility audits.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 
 from .edgeworth import (
+    SUMMARY_FIELDS,
     EdgeworthCoeffs,
     NetworkSummary,
+    _ARRAY_OPS,
+    _FLOAT_OPS,
+    _expanded_cdf,
+    _expansion,
+    _size_columns,
+    _smoothing_sd,
+    _studentizer_sq,
     cdf,
     combine,
     cornish_fisher,
@@ -60,10 +73,19 @@ class TestResult:
         }
 
 
-def scaled_discrepancy(sa: NetworkSummary, sb: NetworkSummary) -> float:
-    """Plug-in discrepancy D between the two sparsity-scaled moments."""
+def scaled_discrepancy(sa: NetworkSummary, sb: NetworkSummary, ops=_FLOAT_OPS) -> float:
+    """Plug-in discrepancy D between the two sparsity-scaled moments (of
+    every pair at once when `sb` holds columns and ops is `_ARRAY_OPS`)."""
     s = sa.motif_s
-    return sa.rho_hat ** (-s) * sa.u_hat - sb.rho_hat ** (-s) * sb.u_hat
+    return ops.pow(sa.rho_hat, -s) * sa.u_hat - ops.pow(sb.rho_hat, -s) * sb.u_hat
+
+
+def _statistic(coeffs: EdgeworthCoeffs, d_hat, delta_t, ops=_FLOAT_OPS, cdf_at=cdf):
+    """(t_obs, two-sided p-value) of one pair, or of arrays of pairs with the
+    arrays' ops and `_expanded_cdf` for `cdf_at`."""
+    t_obs = d_hat / coeffs.S + delta_t
+    g_val = cdf_at(coeffs, t_obs)
+    return t_obs, 2.0 * ops.min(g_val, 1.0 - g_val)
 
 
 def _pair_statistics(
@@ -101,9 +123,7 @@ def two_sample_test(
     between a test and its interval); otherwise one draw is taken from rng.
     """
     coeffs, d_hat, delta_t = _pair_statistics(sa, sb, level, c_delta, rng, delta_t)
-    t_obs = d_hat / coeffs.S + delta_t
-    g_val = cdf(coeffs, t_obs)
-    p_value = 2.0 * min(g_val, 1.0 - g_val)
+    t_obs, p_value = _statistic(coeffs, d_hat, delta_t)
     return TestResult(
         d_hat=d_hat,
         s_hat=coeffs.S,
@@ -114,6 +134,54 @@ def two_sample_test(
         level=level,
         coeffs=coeffs,
     )
+
+
+def two_sample_p_values(
+    sa: NetworkSummary,
+    sbs: list[NetworkSummary],
+    level: float,
+    c_delta: float,
+    normals,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`two_sample_test(sa, sb, ...).p_value` for every sb at once, and where
+    that holds.
+
+    `normals[k]` is the standard normal that sb k's smoothing draw scales
+    (unused when c_delta is 0). The pair formulas run once over float64
+    columns of the sbs. Returns (p-values, ok): where ok is False the test
+    of that pair raises, or may (a level outside (0, 1), a motif mismatch,
+    a size below 2, a c_delta below 0 or nan, a size with no double, an
+    S^2, coefficient or statistic that is not finite, or a keyword side
+    whose own arithmetic fails, which flags every pair), and its p-value is
+    meaningless; the caller runs `two_sample_test` on it instead.
+    """
+    k, width = len(sbs), len(SUMMARY_FIELDS)
+    flagged = (np.full(k, math.nan), np.zeros(k, dtype=bool))
+    if not (0.0 < level < 1.0 and c_delta >= 0.0 and sa.n >= 2):
+        return flagged
+    table = np.fromiter(chain.from_iterable(map(operator.attrgetter(*SUMMARY_FIELDS), sbs)),
+                        np.float64, k * width).reshape(k, width)
+    cols = SimpleNamespace(**dict(zip(SUMMARY_FIELDS, np.ascontiguousarray(table.T))))
+    sizes = _size_columns(sa.n, [sb.n for sb in sbs])
+    try:
+        with np.errstate(all="ignore"):
+            s_sq = _studentizer_sq(sa, cols, sizes)
+            coeffs = _expansion(sa, cols, s_sq, sizes, _ARRAY_OPS)
+            d_hat = scaled_discrepancy(sa, cols, _ARRAY_OPS)
+            delta_t = 0.0
+            if c_delta != 0.0:
+                # Generator.normal(loc, scale) is loc + scale * standard_normal()
+                delta_t = 0.0 + _smoothing_sd(sa.n, sizes[1], c_delta, _ARRAY_OPS) * normals
+            t_obs, p_values = _statistic(coeffs, d_hat, delta_t, _ARRAY_OPS,
+                                         partial(_expanded_cdf, ops=_ARRAY_OPS))
+            total = coeffs.S + coeffs.I0 + coeffs.Q1 + coeffs.Q2 + t_obs + sum(sizes)
+    except (ArithmeticError, ValueError):
+        # the keyword's own terms (rho^-s, log m) failed: every pair goes
+        # alone, so the first raises what its one-pair test raises
+        return flagged
+    ok = (np.isfinite(total) & (coeffs.S > 0.0) & (sizes[1] >= 2.0)
+          & np.fromiter(map(sa.same_motif, sbs), bool, k))
+    return p_values, ok
 
 
 def confidence_interval(

@@ -6,6 +6,11 @@ through sha256 so the derivation does not depend on Python's randomized
 hash(), and integer keys feed SeedSequence directly. Two streams with
 different keys are independent; the same key always reproduces the same
 stream, regardless of the order streams are created in.
+
+`spawn_normals` takes the first standard normal of many such streams at once,
+for a store query's smoothing draws. It runs numpy's SeedSequence and PCG64
+seeding as array arithmetic and sets the state of one reused PCG64, instead
+of building a SeedSequence, a PCG64 and a Generator for every stream.
 """
 
 from __future__ import annotations
@@ -13,6 +18,17 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_MASK128 = (1 << 128) - 1
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _key_words(key) -> list[int]:
@@ -26,7 +42,92 @@ def _key_words(key) -> list[int]:
 
 def spawn_rng(master_seed: int, *keys) -> np.random.Generator:
     """Generator for the stream identified by (master_seed, *keys)."""
-    entropy = [int(master_seed) & 0xFFFFFFFFFFFFFFFF]
+    entropy = [int(master_seed) & _MASK64]
     for key in keys:
         entropy.extend(_key_words(key))
     return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def _uint32_words(value: int) -> list[int]:
+    """SeedSequence's words of one entropy int: little-endian, [0] for 0."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _seed_sequence_states(entropy: np.ndarray) -> np.ndarray:
+    """`SeedSequence(row).generate_state(4, np.uint64)` for each row of a
+    (K, L) uint32 entropy array, as uint32 array arithmetic (wrapping, as
+    numpy's uint32_t does): hashmix each word into a pool of four, mix the
+    pool, mix in the words past the pool, then hash the pool out to eight
+    words read as four little-endian uint64."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    width = entropy.shape[1]
+    zero = np.zeros(len(entropy), dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < width else zero) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_src in range(_POOL_SIZE, width):
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[:, i_src]))
+
+    hash_const = _INIT_B
+    words = np.empty((len(entropy), 8), dtype=np.uint32)
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        words[:, i] = value ^ (value >> np.uint32(16))
+    return words.astype("<u4").view("<u8")
+
+
+def spawn_normals(master_seed: int, key, ids: list[str]) -> np.ndarray:
+    """`spawn_rng(master_seed, key, id).standard_normal()` for every id, at once.
+
+    Bit for bit, this is numpy's own seeding path: SeedSequence's
+    hashmix/mix pool over the stream's uint32 entropy words,
+    `generate_state(4, uint64)`, then PCG64's `srandom` step, which takes the
+    first two words as the 128-bit initial state s and the last two as the
+    stream i, and sets inc = 2 i + 1 and state = (inc + s) * MULT + inc
+    (mod 2^128; O'Neill 2014). The pool runs as array arithmetic over all
+    ids; one PCG64 then gets each state in turn and gives one draw. A numpy
+    that changes either step fails `test_spawn_normals_matches_spawn_rng`.
+    """
+    prefix = [word for value in [int(master_seed) & _MASK64, *_key_words(key)]
+              for word in _uint32_words(value)]
+    digests = b"".join(hashlib.sha256(i.encode("utf-8")).digest() for i in ids)
+    entropy = np.empty((len(ids), len(prefix) + 4), dtype=np.uint32)
+    entropy[:, :len(prefix)] = prefix
+    # an id's key words: the first 16 bytes of its sha256, as in _key_words
+    entropy[:, len(prefix):] = np.frombuffer(digests, dtype="<u4").reshape(-1, 8)[:, :4]
+    states = _seed_sequence_states(entropy).tolist()
+
+    bit_gen = np.random.PCG64()
+    gen = np.random.Generator(bit_gen)
+    pcg = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    out = np.empty(len(ids))
+    for k, (s_hi, s_lo, i_hi, i_lo) in enumerate(states):
+        inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
+        pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        pcg["inc"] = inc
+        bit_gen.state = full
+        out[k] = gen.standard_normal()
+    return out

@@ -152,20 +152,23 @@ def _replicate_groups(cfg: PairConfig, tag: str, m: int, n: int, lo: int, hi: in
         yield reps, rngs, [a for a, _ in pairs], [b for _, b in pairs]
 
 
-def _compared(nets_a: list, nets_b: list, motif: Motif) -> list:
-    """(summary a, summary b, their coefficients) per replicate, or None where
-    a summary or `combine` is degenerate. No rng is drawn."""
-    out = []
-    for sa, sb in zip(summarize_many([net.graph for net in nets_a], motif),
-                      summarize_many([net.graph for net in nets_b], motif)):
-        if isinstance(sa, DegenerateGraphError) or isinstance(sb, DegenerateGraphError):
-            out.append(None)
-            continue
-        try:
-            out.append((sa, sb, combine(sa, sb)))
-        except DegenerateGraphError:
-            out.append(None)
-    return out
+def _compared(nets_a: list, nets_b: list, motifs: list) -> list:
+    """Per motif, (summary a, summary b, their coefficients) per replicate,
+    or None where a summary or `combine` is degenerate. No rng is drawn."""
+    by_motif = []
+    for summaries_a, summaries_b in zip(summarize_many([net.graph for net in nets_a], motifs),
+                                        summarize_many([net.graph for net in nets_b], motifs)):
+        out = []
+        for sa, sb in zip(summaries_a, summaries_b):
+            if isinstance(sa, DegenerateGraphError) or isinstance(sb, DegenerateGraphError):
+                out.append(None)
+                continue
+            try:
+                out.append((sa, sb, combine(sa, sb)))
+            except DegenerateGraphError:
+                out.append(None)
+        by_motif.append(out)
+    return by_motif
 
 
 def _centering(cfg, graphon_name: str, rho: float, motif: Motif, side: str) -> float:
@@ -222,7 +225,7 @@ def _cdf_chunk(cfg: CdfConfig, m: int, n: int, d_true: float,
     clamps = 0
     for _, rngs, nets_a, nets_b in _replicate_groups(cfg, "cdf", m, n, lo, hi):
         clamps += sum(net.clamp_count for net in nets_a + nets_b)
-        for rng, compared in zip(rngs, _compared(nets_a, nets_b, motif)):
+        for rng, compared in zip(rngs, _compared(nets_a, nets_b, [motif])[0]):
             if compared is None:
                 skipped += 1
                 continue
@@ -327,9 +330,8 @@ def _coverage_chunk(cfg: CoverageConfig, m: int, n: int, d_true: dict, lo: int, 
     clamps = 0
     for reps, rngs, nets_a, nets_b in _replicate_groups(cfg, "cov", m, n, lo, hi):
         clamps += sum(net.clamp_count for net in nets_a + nets_b)
-        # a graph summarized alone shares its node pass between the motifs; a
-        # stack of small graphs runs one batched pass per motif
-        by_motif = [_compared(nets_a, nets_b, mo) for mo in motifs]
+        # the motifs share each graph's or stack's node pass
+        by_motif = _compared(nets_a, nets_b, motifs)
         for k, (rep, rng) in enumerate(zip(reps, rngs)):
             for mo, compared in zip(motifs, by_motif):
                 if compared[k] is None:

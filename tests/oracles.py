@@ -15,6 +15,8 @@ parser replaced, kept to pin its graphs, reports and error messages.
 harness replaced, kept to pin its outputs byte for byte.
 `frozen_sample_network` is the sampler that drew its edges over
 `np.triu_indices` pairs, kept to pin every draw bit for bit.
+`frozen_query` is the store query that seeded and tested one entry at a
+time, kept to pin the array query's hits and errors bit for bit.
 """
 
 import itertools
@@ -450,3 +452,31 @@ def frozen_sample_network(graphon, rho, m, rng):
     adj[iu, ju] = edges
     adj[ju, iu] = edges
     return SampledNetwork(graph=Graph(adj, _owned=True), latents=x, clamp_count=clamped)
+
+
+def frozen_query(keyword, db, motif_name, level=0.05, c_delta=0.01, seed=0):
+    """The store query, one `spawn_rng` and one `two_sample_test` per entry,
+    in id order, as it was before the store was scored over arrays. Change
+    nothing here."""
+    from netmoment.hashdb import QueryHit
+    from netmoment.inference import two_sample_test
+    from netmoment.rng import spawn_rng
+
+    if motif_name not in keyword.summaries:
+        raise ValueError(f"keyword record has no summary for motif {motif_name!r}")
+    ka = keyword.summaries[motif_name]
+    hits = []
+    for rec in db.with_motif(motif_name):
+        sb = rec.summaries[motif_name]
+        rng = spawn_rng(seed, "query-delta", rec.network_id)
+        result = two_sample_test(ka, sb, level=level, c_delta=c_delta, rng=rng)
+        hits.append(
+            QueryHit(
+                network_id=rec.network_id,
+                motif=motif_name,
+                p_value=result.p_value,
+                passed_screen=result.p_value >= level,
+            )
+        )
+    hits.sort(key=lambda h: (-h.p_value, h.network_id))
+    return hits

@@ -1,0 +1,258 @@
+"""The array store query against `frozen_query`, bit for bit: hits, CLI
+stdout and errors."""
+
+import dataclasses
+import json
+import math
+
+import numpy as np
+import pytest
+
+import netmoment as nm
+import netmoment.cli as cli
+from netmoment.edgeworth import _pair_sizes, _size_columns
+from netmoment.hashdb import HashDb, HashRecord
+from netmoment.inference import two_sample_p_values
+from netmoment.projections import DegenerateGraphError
+from netmoment.rng import spawn_rng
+
+from conftest import random_graph
+from oracles import frozen_query
+from test_inference import synthetic_summary
+
+
+def record(summary, network_id):
+    summary = dataclasses.replace(summary, network_id=network_id)
+    return HashRecord(network_id=network_id, n=summary.n, created_at="",
+                      summaries={summary.motif_name: summary})
+
+
+def hashed(m, rho, rng, network_id):
+    return nm.hash_network(random_graph(m, rho, rng), [nm.TRIANGLE], network_id)
+
+
+def make_store(seed):
+    """Hashed graphs of 30-60 and 400 nodes, and synthetic summaries of 10^6
+    and 10^9 nodes, where int64 powers of n overflow, and of about 1.1e8 and
+    7.8e8 nodes, where the float64 product n * n * n rounds twice (its last
+    bit seldom reaches a p-value; `test_size_columns_round_each_power_once`
+    pins it)."""
+    rng = spawn_rng(seed, "query-store")
+    records = [hashed(int(rng.integers(30, 61)), float(rng.uniform(0.2, 0.7)), rng,
+                      f"small-{k:03d}") for k in range(40)]
+    records += [hashed(400, 0.3, rng, f"mid-{k}") for k in range(2)]
+    records += [record(synthetic_summary(rng, n=n), f"big-{n}-{k:02d}")
+                for k in range(10) for n in (10**6, 10**9, 109_139_017, 776_676_447)]
+    order = rng.permutation(len(records))  # insertion order is not id order
+    return HashDb(records={records[i].network_id: records[i] for i in order})
+
+
+def outcome(fn, *args, **kwargs):
+    """The hits, by bits, or the type and message of what fn raises."""
+    try:
+        hits = fn(*args, **kwargs)
+    except Exception as exc:  # every error must match, whatever its type
+        return type(exc), str(exc)
+    return [(h.network_id, h.motif, h.p_value.hex(), h.passed_screen) for h in hits]
+
+
+def test_size_columns_round_each_power_once():
+    # n^3 = 10^360 and m n^2 have no double; n * n * n in float64 rounds twice
+    ns = [30, 400, 10**6, 10**9, 109_139_017, 776_676_447, 10**120]
+    for m in (40, 776_676_447):
+        columns = _size_columns(m, ns)
+        for k, n in enumerate(ns):
+            exact = [float(v) if v < 2**1024 else math.inf for v in _pair_sizes(m, n)]
+            assert [column[k] for column in columns] == exact
+
+
+@pytest.fixture(scope="module")
+def store():
+    return make_store(5)
+
+
+@pytest.mark.parametrize("keyword_id", ["small-007", "mid-1", "big-1000000000-03"])
+@pytest.mark.parametrize("seed", [0, 2**32 + 5])
+@pytest.mark.parametrize("level", [0.05, 0.5])
+@pytest.mark.parametrize("c_delta", [0.0, 0.01])
+def test_query_matches_frozen_query_bit_for_bit(store, keyword_id, seed, level, c_delta):
+    keyword = store.records[keyword_id]
+    got = outcome(nm.query, keyword, store, "triangle", level=level, c_delta=c_delta, seed=seed)
+    assert isinstance(got, list) and len(got) == len(store)
+    assert got == outcome(frozen_query, keyword, store, "triangle", level=level,
+                          c_delta=c_delta, seed=seed)
+
+
+def test_query_matches_frozen_query_on_a_fresh_keyword(store):
+    keyword = hashed(50, 0.4, spawn_rng(8, "fresh"), "keyword")
+    for seed in (1, 2):
+        assert (outcome(nm.query, keyword, store, "triangle", seed=seed)
+                == outcome(frozen_query, keyword, store, "triangle", seed=seed))
+
+
+# each spoils a good entry summary s, given the keyword summary k, and names
+# what the entry's test then raises (None: it gives a p-value)
+SPOILS = {
+    "motif shape": (lambda s, k: dataclasses.replace(s, motif_s=2), ValueError),
+    "S^2 < 0": (lambda s, k: dataclasses.replace(s, xi_alpha1_sq=-1e6), DegenerateGraphError),
+    "S^2 = 0": (lambda s, k: dataclasses.replace(s, n=k.n, xi_alpha1_sq=-k.xi_alpha1_sq),
+                DegenerateGraphError),
+    "non-finite I0": (lambda s, k: dataclasses.replace(s, alpha0_hat=math.nan),
+                      DegenerateGraphError),
+    "non-finite Q1": (lambda s, k: dataclasses.replace(s, e_a1_a3=math.inf), DegenerateGraphError),
+    "non-finite statistic": (lambda s, k: dataclasses.replace(s, u_hat=math.inf), ValueError),
+    "rho^-s overflows": (lambda s, k: dataclasses.replace(s, rho_hat=1e-120), OverflowError),
+    "rho = 0": (lambda s, k: dataclasses.replace(s, rho_hat=0.0), ZeroDivisionError),
+    "n < 2": (lambda s, k: dataclasses.replace(s, n=1), ValueError),
+    # u^2 overflows in the CDF, and the clamps meet a nan
+    "huge statistic": (lambda s, k: dataclasses.replace(
+        s, n=2, xi_alpha1_sq=2.0, e_a1_a3=-1.2e308, e_a4_a1=0.0, u_hat=1e307, rho_hat=0.5),
+        None),
+    # the coefficients and the statistic sum past the largest double: the
+    # array pass flags the entry, which then gives its p-value alone
+    "flagged, no error": (lambda s, k: dataclasses.replace(
+        s, n=2, xi_alpha1_sq=2.0, e_a1_a3=-1.2e308, e_a4_a1=0.0, u_hat=1.5e307, rho_hat=0.45),
+        None),
+}
+
+
+def with_spoiled(db, kinds, keyword):
+    """db with the entries small-010, small-018, ... spoiled in turn by kinds."""
+    records = dict(db.records)
+    for k, kind in enumerate(kinds):
+        nid = f"small-{10 + 8 * k:03d}"
+        spoil, _ = SPOILS[kind]
+        records[nid] = record(spoil(records[nid].summaries["triangle"],
+                                    keyword.summaries["triangle"]), nid)
+    return HashDb(records=records)
+
+
+@pytest.mark.parametrize("kind", sorted(SPOILS))
+@pytest.mark.parametrize("c_delta", [0.0, 0.01])
+def test_spoiled_entry_raises_what_the_entry_loop_raises(store, kind, c_delta):
+    keyword = store.records["small-003"]
+    db = with_spoiled(store, [kind], keyword)
+    got = outcome(nm.query, keyword, db, "triangle", c_delta=c_delta, seed=4)
+    assert got == outcome(frozen_query, keyword, db, "triangle", c_delta=c_delta, seed=4)
+    raises = SPOILS[kind][1]
+    if raises is None:
+        assert isinstance(got, list) and len(got) == len(db)
+    else:
+        assert got[0] is raises
+    if kind == "flagged, no error":
+        entry = db.records["small-010"].summaries["triangle"]
+        _, ok = two_sample_p_values(keyword.summaries["triangle"], [entry], 0.05, c_delta,
+                                    np.zeros(1))
+        assert not ok[0]
+
+
+# each spoils the keyword summary k, whose own terms then fail in every test
+KEYWORD_SPOILS = {
+    "rho^-s overflows": lambda k: dataclasses.replace(k, rho_hat=1e-120),
+    "rho = 0": lambda k: dataclasses.replace(k, rho_hat=0.0),
+    "n = 1": lambda k: dataclasses.replace(k, n=1),
+    "n = 0": lambda k: dataclasses.replace(k, n=0),
+}
+
+
+@pytest.mark.parametrize("spoil", sorted(KEYWORD_SPOILS))
+@pytest.mark.parametrize("first_entry_mismatch, level", [(False, 0.05), (True, 0.05),
+                                                         (False, 1.5)])
+@pytest.mark.parametrize("c_delta", [0.0, 0.01])
+def test_spoiled_keyword_raises_what_the_entry_loop_raises(store, spoil, first_entry_mismatch,
+                                                           level, c_delta):
+    summary = KEYWORD_SPOILS[spoil](store.records["small-003"].summaries["triangle"])
+    keyword = record(summary, "keyword")
+    records = dict(store.records)
+    if first_entry_mismatch:
+        first = min(records)
+        records[first] = record(SPOILS["motif shape"][0](
+            records[first].summaries["triangle"], summary), first)
+    db = HashDb(records=records)
+    got = outcome(nm.query, keyword, db, "triangle", level=level, c_delta=c_delta, seed=6)
+    assert got == outcome(frozen_query, keyword, db, "triangle", level=level,
+                          c_delta=c_delta, seed=6)
+    assert isinstance(got, tuple)
+
+
+@pytest.mark.parametrize("kinds", [
+    ["non-finite statistic", "motif shape", "S^2 < 0"],
+    ["rho^-s overflows", "non-finite Q1"],
+    ["huge statistic", "S^2 = 0", "n < 2", "non-finite I0"],
+])
+def test_first_bad_entry_in_id_order_raises(store, kinds):
+    keyword = store.records["mid-0"]
+    db = with_spoiled(store, kinds, keyword)
+    got = outcome(nm.query, keyword, db, "triangle", seed=9)
+    assert got == outcome(frozen_query, keyword, db, "triangle", seed=9)
+    assert isinstance(got, tuple)
+
+
+@pytest.mark.parametrize("level, c_delta", [
+    (0.0, 0.01), (1.0, 0.01), (-0.5, 0.01), (1.5, 0.0), (math.nan, 0.01), (0.05, -1.0),
+    (0.05, math.nan), (0.05, math.inf),
+])
+def test_bad_level_or_c_delta_raises_on_a_store_only(store, level, c_delta):
+    keyword = store.records["small-001"]
+    got = outcome(nm.query, keyword, store, "triangle", level=level, c_delta=c_delta, seed=1)
+    assert got == outcome(frozen_query, keyword, store, "triangle", level=level,
+                          c_delta=c_delta, seed=1)
+    assert got[0] is ValueError
+    assert nm.query(keyword, HashDb(records={}), "triangle", level=level, c_delta=c_delta) == []
+
+
+# ---------------------------------------------------------------------------
+# CLI
+# ---------------------------------------------------------------------------
+
+
+def run_query(capsys, monkeypatch, frozen, *argv):
+    with monkeypatch.context() as patch:
+        if frozen:
+            patch.setattr(cli, "query", frozen_query)
+        code = cli.main(["query", *argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture(scope="module")
+def cli_store(tmp_path_factory):
+    """A store hashed by the CLI (triangle, vshape and edge), and a keyword."""
+    tmp = tmp_path_factory.mktemp("cli-store")
+    rng = spawn_rng(21, "cli-store")
+    db = tmp / "db.ndjson"
+    for k in range(25):
+        g = random_graph(int(rng.integers(30, 61)), float(rng.uniform(0.2, 0.7)), rng)
+        path = tmp / f"g{k}.txt"
+        nm.save_edge_list(g, path)
+        assert cli.main(["hash", "--input", str(path), "--motifs", "triangle,vshape,edge",
+                         "--id", f"net-{k:02d}", "--out", str(db), "--seed", "1"]) == 0
+    keyword = tmp / "keyword.txt"
+    nm.save_edge_list(random_graph(60, 0.45, rng), keyword)
+    return str(keyword), str(db)
+
+
+@pytest.mark.parametrize("extra", [
+    ["--motif", "triangle"],
+    ["--motif", "triangle", "--format", "csv"],
+    ["--motif", "vshape", "--alpha", "0.5", "--c-delta", "0"],
+    ["--motif", "triangle,vshape", "--combine", "bonferroni"],
+    ["--motif", "triangle,vshape", "--combine", "bonferroni", "--format", "csv"],
+    ["--motif", "triangle,vshape"],
+])
+def test_cli_query_stdout_matches_frozen_query(capsys, monkeypatch, cli_store, extra):
+    keyword, db = cli_store
+    argv = ["--keyword", keyword, "--db", db, "--seed", "13", *extra]
+    got = run_query(capsys, monkeypatch, False, *argv)
+    assert got[0] == 0 and got[1]
+    assert got == run_query(capsys, monkeypatch, True, *argv)
+
+
+def test_cli_degenerate_query_exits_1_as_before(capsys, monkeypatch, cli_store):
+    # the edge motif's alpha1 is the constant 0, so every S^2 is 0
+    keyword, db = cli_store
+    argv = ["--keyword", keyword, "--db", db, "--motif", "edge", "--seed", "2"]
+    got = run_query(capsys, monkeypatch, False, *argv)
+    assert got[0] == 1 and got[1] == ""
+    assert "degenerate variance" in json.loads(got[2].splitlines()[-1])["error"]
+    assert got == run_query(capsys, monkeypatch, True, *argv)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import netmoment as nm
 from netmoment import edgeworth
+from netmoment import motif as nm_motif
 from netmoment.edgeworth import SUMMARY_FIELDS, _group_size, norm_cdf, summarize_many
 from netmoment.graph import GraphStack
 from netmoment.motif import moment_census, motif_by_name, motif_from_spec
@@ -39,7 +40,7 @@ def solo(g, motif):
 
 
 def assert_matches_oracle(graphs, motif):
-    got = summarize_many(graphs, motif)
+    got, = summarize_many(graphs, [motif])
     assert len(got) == len(graphs)
     for g, out in zip(graphs, got):
         want = solo(g, motif)
@@ -100,10 +101,10 @@ def test_grouped_summaries_of_larger_graphs(m, monkeypatch):
 def test_group_size_rule():
     assert [_group_size(m) for m in (4, 20, 40, 80, 90, 91, 160, 2000)] == [
         4096, 163, 40, 10, 8, 1, 1, 1]
-    assert summarize_many([], nm.TRIANGLE) == []
+    assert summarize_many([], [nm.TRIANGLE]) == [[]]
     with pytest.raises(ValueError, match="one size"):
         summarize_many(mixed_group(30, ["random"], 1) + mixed_group(31, ["random"], 1),
-                       nm.TRIANGLE)
+                       [nm.TRIANGLE])
 
 
 def test_grouped_custom_motif_matches_summarize():
@@ -111,11 +112,29 @@ def test_grouped_custom_motif_matches_summarize():
     c4 = motif_from_spec({"name": "c4", "pattern": [[0, 1, 0, 1], [1, 0, 1, 0],
                                                     [0, 1, 0, 1], [1, 0, 1, 0]]})
     graphs = mixed_group(9, ["random"] * 5 + ["empty"], seed=4)
-    for g, out in zip(graphs, summarize_many(graphs, c4)):
+    for g, out in zip(graphs, summarize_many(graphs, [c4])[0]):
         want = solo(g, c4)
         assert type(out) is type(want) and str(out) == str(want)
         if isinstance(want, nm.NetworkSummary):
             assert summary_hex(out) == summary_hex(want)
+
+
+def test_motifs_share_one_stack_pass(monkeypatch):
+    graphs = mixed_group(40, ["random"] * 6, seed=12)
+    motifs = [nm.EDGE, nm.TRIANGLE, nm.VSHAPE]
+    passes = []
+    init = nm_motif._TwoWalks.__init__
+
+    def counted(self, g, sparse):
+        passes.append(type(g).__name__)
+        init(self, g, sparse)
+
+    monkeypatch.setattr(nm_motif._TwoWalks, "__init__", counted)
+    got = summarize_many(graphs, motifs)
+    assert passes == ["GraphStack"]  # triangle and vshape read one batched product
+    for motif, summaries in zip(motifs, got):
+        assert [summary_hex(s) for s in summaries] == [
+            field_hex(frozen_summary(g, motif.name)) for g in graphs]
 
 
 def test_stack_rows_carry_a_batch_axis():
@@ -160,7 +179,7 @@ def test_overflowing_member_is_redone_alone(monkeypatch):
     with pytest.raises(nm.DegenerateGraphError) as alone:
         nm.summarize(bad, nm.TRIANGLE)
     seen.clear()
-    got = summarize_many(graphs, nm.TRIANGLE)
+    got, = summarize_many(graphs, [nm.TRIANGLE])
     assert seen == [5, 1, 1, 1, 1, 1]  # the stack, then one graph at a time
     assert isinstance(got[2], nm.DegenerateGraphError)
     assert str(got[2]) == str(alone.value)
