@@ -2,9 +2,13 @@ import dataclasses
 import json
 import logging
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netmoment as nm
+import netmoment.cli as cli
 from netmoment import motif as nm_motif
 from netmoment.edgeworth import SUMMARY_FIELDS
 from netmoment.hashdb import (
@@ -271,3 +275,278 @@ def test_summary_validation_rejects_non_finite(name, value):
     s = nm.hash_network(g, [nm.TRIANGLE], "v").summaries["triangle"]
     with pytest.raises(ValueError):
         dataclasses.replace(s, **{name: value}).validate()
+
+
+def _good_record():
+    return nm.hash_network(random_graph(15, 0.5, spawn_rng(4, "c")), [nm.TRIANGLE], "ok")
+
+
+def _edit(key, value, where="record"):
+    """A line edit that sets (or, for value None, deletes) one key of the
+    record, of its first summary, or of that summary's motif."""
+    def edit(payload):
+        target = {"record": payload, "summary": payload["summaries"][0],
+                  "motif": payload["summaries"][0]["motif"]}[where]
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+    return edit
+
+
+def _edits(*edits):
+    """The line edits made in turn."""
+    def edit(payload):
+        for one in edits:
+            one(payload)
+    return edit
+
+
+def _write_store(path, *lines, newline="\n"):
+    path.write_bytes("".join(line + newline for line in lines).encode("utf-8"))
+
+
+def _edited_line(edit):
+    """The good record's line after one edit: a function of the decoded
+    payload, or a (old, new) replacement in the line's text."""
+    line = record_to_json(_good_record())
+    if isinstance(edit, tuple):
+        assert edit[0] in line
+        return line.replace(*edit)
+    payload = json.loads(line)
+    edit(payload)
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True)
+
+
+# The loader's answer to each malformed line, as the second line of a store.
+# A DbFormatError names the path and line; a summary value that decodes but
+# is out of range raises the summary's own ValueError, without either.
+MALFORMED_LINES = [
+    pytest.param(_edit("n", None), DbFormatError, "bad record object: 'n'", id="missing-n"),
+    pytest.param(_edit("summaries", None), DbFormatError, "bad record object: 'summaries'",
+                 id="missing-summaries"),
+    pytest.param(_edit("rho_hat", None, "summary"), DbFormatError,
+                 "bad record object: bad summary object: 'rho_hat'", id="missing-rho_hat"),
+    pytest.param(_edit("r", None, "motif"), DbFormatError,
+                 "bad record object: bad summary object: 'r'", id="missing-motif-r"),
+    pytest.param(_edit("rho_hat", True, "summary"), ValueError,
+                 "rho_hat must be in (0,1), got 1.0", id="true-rho_hat"),
+    pytest.param(_edit("n", True), ValueError, "n=1 too small for motif r=3", id="true-n"),
+    pytest.param(_edit("u_hat", [0.5], "summary"), DbFormatError,
+                 "bad record object: bad summary object: float() argument must be a string "
+                 "or a real number, not 'list'", id="list-u_hat"),
+    pytest.param(_edit("e_a1_a3", "x", "summary"), DbFormatError,
+                 "bad record object: bad summary object: could not convert string to float: 'x'",
+                 id="text-e_a1_a3"),
+    # two faults in one summary: the values are read and converted in
+    # SUMMARY_FIELDS order, all before the motif's name, r and s
+    pytest.param(_edits(_edit("r", None, "motif"), _edit("e_a1_a3", "x", "summary")),
+                 DbFormatError,
+                 "bad record object: bad summary object: could not convert string to float: 'x'",
+                 id="text-e_a1_a3-and-missing-motif-r"),
+    pytest.param(_edits(_edit("e_a1a1a2", None, "summary"), _edit("u_hat", [0.5], "summary")),
+                 DbFormatError,
+                 "bad record object: bad summary object: float() argument must be a string "
+                 "or a real number, not 'list'", id="list-u_hat-and-missing-e_a1a1a2"),
+    pytest.param(('"e_a1_a3":', '"e_a1_a3":NaN,"was":'), ValueError,
+                 "non-finite summary field e_a1_a3", id="nan-token"),
+    pytest.param(_edit("schema_version", 2), DbFormatError, "unsupported schema_version 2",
+                 id="schema-2"),
+    pytest.param(_edit("summaries", []), DbFormatError, "record 'ok' has no summaries",
+                 id="empty-summaries"),
+    pytest.param(_edit("name", 3, "motif"), DbFormatError,
+                 "record 'ok': key 3 does not match summary motif '3'", id="motif-key-mismatch"),
+    pytest.param(_edit("rho_hat", 1.5, "summary"), ValueError,
+                 "rho_hat must be in (0,1), got 1.5", id="rho_hat-above-1"),
+    pytest.param(_edit("u_hat", -0.25, "summary"), ValueError,
+                 "u_hat must be in [0,1], got -0.25", id="u_hat-below-0"),
+    pytest.param(("{", "{{"), DbFormatError,
+                 "invalid JSON: Expecting property name enclosed in double quotes: "
+                 "line 1 column 2 (char 1)", id="bad-json"),
+]
+
+
+@pytest.mark.parametrize(("edit", "error", "message"), MALFORMED_LINES)
+def test_db_load_malformed_line_table(tmp_path, edit, error, message):
+    path = tmp_path / "db.ndjson"
+    good = record_to_json(_good_record())
+    _write_store(path, good, _edited_line(edit), good)
+    with pytest.raises(error) as info:
+        nm.db_load(path)
+    assert type(info.value) is error
+    want = f"{path}: line 2: {message}" if error is DbFormatError else message
+    assert str(info.value) == want
+
+
+# Lines that the loader takes, converting values that are not of their JSON
+# type the way `int`, `float` and `str` do, and ignoring unknown keys; each
+# row gives the fields that differ from the good record.
+COERCED_LINES = [
+    pytest.param(_edit("rho_hat", "0.5", "summary"), {"rho_hat": 0.5}, id="text-rho_hat"),
+    pytest.param(_edit("n", 43.0), {"n": 43}, id="float-n"),
+    pytest.param(_edit("e_a1_a3", True, "summary"), {"e_a1_a3": 1.0}, id="true-e_a1_a3"),
+    pytest.param(_edit("r", 3.0, "motif"), {}, id="float-motif-r"),
+    pytest.param(_edit("created_at", None), {"created_at": ""}, id="missing-created_at"),
+    pytest.param(_edit("extra", {"any": [1]}), {}, id="unknown-record-key"),
+    pytest.param(_edit("extra", 1, "summary"), {}, id="unknown-summary-key"),
+]
+
+
+@pytest.mark.parametrize(("edit", "changes"), COERCED_LINES)
+def test_db_load_coerced_line_table(tmp_path, edit, changes):
+    path = tmp_path / "db.ndjson"
+    _write_store(path, _edited_line(edit))
+    got = nm.db_load(path).records["ok"]
+    want = _good_record()
+    summary = want.summaries["triangle"]
+    summary = dataclasses.replace(summary, **{k: v for k, v in changes.items()
+                                              if hasattr(summary, k)})
+    want = dataclasses.replace(want, summaries={"triangle": summary},
+                               **{k: v for k, v in changes.items() if hasattr(want, k)})
+    assert got == dataclasses.replace(want, created_at=got.created_at)
+    assert (got.created_at == "") == ("created_at" in changes)
+    summary = got.summaries["triangle"]
+    assert type(got.n) is type(summary.motif_r) is int
+    assert type(summary.rho_hat) is type(summary.e_a1_a3) is float
+
+
+def test_db_load_crlf_store(tmp_path):
+    path = tmp_path / "db.ndjson"
+    rng = spawn_rng(9, "crlf")
+    records = [nm.hash_network(random_graph(15, 0.5, rng), [nm.TRIANGLE], f"c{i}")
+               for i in range(3)]
+    _write_store(path, *map(record_to_json, records), newline="\r\n")
+    assert nm.db_load(path).records == {rec.network_id: rec for rec in records}
+
+
+def test_db_load_raises_for_the_first_bad_line(tmp_path):
+    path = tmp_path / "db.ndjson"
+    good = record_to_json(_good_record())
+    _write_store(path, good, _edited_line(_edit("schema_version", 2)),
+                 _edited_line(_edit("n", None)), good)
+    with pytest.raises(DbFormatError) as info:
+        nm.db_load(path)
+    assert str(info.value) == f"{path}: line 2: unsupported schema_version 2"
+    _write_store(path, good, _edited_line(_edit("n", None)),
+                 _edited_line(_edit("rho_hat", 1.5, "summary")))
+    with pytest.raises(DbFormatError) as info:
+        nm.db_load(path)
+    assert str(info.value) == f"{path}: line 2: bad record object: 'n'"
+
+
+def test_db_append_refuses_a_summary_of_another_network(tmp_path):
+    rec = _good_record()
+    other = dataclasses.replace(rec.summaries["triangle"], network_id="other")
+    path = tmp_path / "db.ndjson"
+    with pytest.raises(DbFormatError) as info:
+        nm.db_append(path, dataclasses.replace(rec, summaries={"triangle": other}))
+    assert str(info.value) == "record 'ok': summary identity mismatch"
+    assert not path.exists()
+
+
+def test_db_load_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "db.ndjson"
+    path.write_bytes(b"\xff\n")
+    with pytest.raises(DbFormatError) as info:
+        nm.db_load(path)
+    assert str(info.value) == (f"{path}: line 1: invalid UTF-8: 'utf-8' codec can't decode "
+                               "byte 0xff in position 0: invalid start byte")
+    good = record_to_json(_good_record()).encode()
+    path.write_bytes(good + b"\n" + good.replace(b'"ok"', b'"o\xe9k"') + b"\n" + good + b"\n")
+    with pytest.raises(DbFormatError) as info:
+        nm.db_load(path)
+    assert str(info.value).startswith(f"{path}: line 2: invalid UTF-8: ")
+    assert "decode byte 0xe9 in position " in str(info.value)
+    # UTF-8 text outside ASCII is read as it is
+    path.write_bytes(good.replace(b'"ok"', '"ok \u00e9\u2028"'.encode()) + b"\n")
+    assert sorted(nm.db_load(path).records) == ["ok \u00e9\u2028"]
+
+
+@pytest.mark.parametrize("tail", [b"\xff", b'{"created_at":"\xe2\x82'], ids=["bad-byte", "cut-char"])
+def test_db_load_skips_a_torn_final_line_that_is_not_utf8(tmp_path, caplog, tail):
+    path = tmp_path / "db.ndjson"
+    rng = spawn_rng(7, "torn-utf8")
+    for i in range(2):
+        nm.db_append(path, nm.hash_network(random_graph(15, 0.5, rng), [nm.TRIANGLE], f"r{i}"))
+    path.write_bytes(path.read_bytes() + tail)
+    with caplog.at_level(logging.WARNING):
+        db = nm.db_load(path)
+    assert sorted(db.records) == ["r0", "r1"]
+    assert any(f"{path}: line 3: skipping torn final record: invalid UTF-8" in r.message
+               for r in caplog.records)
+
+
+def test_cli_query_of_a_store_that_is_not_utf8_is_a_data_error(capsys, tmp_path):
+    edges = tmp_path / "k.edges"
+    nm.save_edge_list(random_graph(15, 0.5, spawn_rng(8, "utf8-cli")), edges)
+    db = tmp_path / "db.ndjson"
+    db.write_bytes(b"\xff\n")
+    code = cli.main(["query", "--keyword", str(edges), "--db", str(db),
+                     "--motif", "triangle", "--seed", "1"])
+    payload = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert code == 1
+    assert payload["kind"] == "data"
+    assert payload["error"].startswith(f"{db}: line 1: invalid UTF-8")
+
+
+# Text that json escapes: quotes, backslashes, control characters, U+2028,
+# lone surrogates, and characters outside ASCII and the BMP.
+_json_text = st.text(st.one_of(
+    st.characters(), st.sampled_from('"\\\x00\x1f\x7f\u2028\ud800\udfff\u00e9\U0001f600')))
+_doubles = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                     st.sampled_from([-0.0, 5e-324, 2.2250738585072009e-308, 1e-310]))
+_stored_floats = st.tuples(_doubles, st.booleans()).map(
+    lambda x: np.float64(x[0]) if x[1] else x[0])
+
+
+@st.composite
+def _records(draw):
+    network_id = draw(_json_text)
+    n = draw(st.integers(0, 10**9))
+    names = draw(st.lists(st.one_of(st.sampled_from(["edge", "triangle", "vshape"]), _json_text),
+                          min_size=1, max_size=3, unique=True))
+    summaries = {
+        name: nm.NetworkSummary(network_id, n, name, draw(st.integers(2, 6)),
+                                draw(st.integers(1, 15)),
+                                *(draw(_stored_floats) for _ in SUMMARY_FIELDS))
+        for name in names
+    }
+    return HashRecord(network_id, n, draw(_json_text), summaries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_records())
+def test_record_to_json_is_json_dumps_of_the_payload(record):
+    payload = {
+        "schema_version": record.schema_version,
+        "network_id": record.network_id,
+        "created_at": record.created_at,
+        "n": record.n,
+        "summaries": [
+            {"motif": s.motif_descriptor(), **{f: getattr(s, f) for f in SUMMARY_FIELDS}}
+            for s in (record.summaries[name] for name in sorted(record.summaries))
+        ],
+    }
+    assert record_to_json(record) == json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+
+# A valid record whose values do not have their fields' types (no int lies in
+# rho_hat's (0, 1)): the template raises TypeError where json.dumps wrote 0
+# or 7, and the store is not touched.
+@pytest.mark.parametrize(("field", "value"), [
+    *((name, 0) for name in SUMMARY_FIELDS if name != "rho_hat"),
+    ("network_id", 7), ("created_at", 0),
+])
+def test_record_to_json_needs_the_stored_types(tmp_path, field, value):
+    record = _good_record()
+    summary = record.summaries["triangle"]
+    if hasattr(summary, field):
+        summary = dataclasses.replace(summary, **{field: value})
+        record = dataclasses.replace(record, summaries={"triangle": summary})
+    record = dataclasses.replace(record, **{k: value for k in [field] if hasattr(record, k)})
+    record.validate()
+    path = tmp_path / "db.ndjson"
+    with pytest.raises(TypeError):
+        nm.db_append(path, record)
+    assert not path.exists()
