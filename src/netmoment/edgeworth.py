@@ -259,29 +259,42 @@ def summarize_many(graphs, motifs: list[Motif]) -> list[list]:
     """Summaries of same-size graphs, one list per motif, each as `summarize`
     gives it.
 
-    Entry [j][i] is graph i's NetworkSummary for motifs[j], or the
-    DegenerateGraphError that `summarize` raises for it. Graphs of m nodes
-    go through the kernel in stacks of `_group_size(m)`, with a leading
-    batch axis on every array; each reduction sums every graph's row as it
-    sums that graph alone, so each summary has the bits of `summarize`. A
-    stack is built once for all the motifs, so motifs of r = 3 share its
-    A @ A pass. A stack whose arithmetic overflows for a motif is redone one
-    graph at a time.
+    `graphs` is a list of same-size graphs or a GraphStack. Entry [j][i] is
+    graph i's NetworkSummary for motifs[j], or the DegenerateGraphError that
+    `summarize` raises for it. Graphs of m nodes go through the kernel in
+    stacks of `_group_size(m)`, with a leading batch axis on every array;
+    each reduction sums every graph's row as it sums that graph alone, so
+    each summary has the bits of `summarize`. A stack is built once for all
+    the motifs, so motifs of r = 3 share its A @ A pass; a GraphStack whose
+    every member is live is that stack itself. A stack whose arithmetic
+    overflows for a motif is redone one graph at a time.
     """
-    graphs = list(graphs)
-    if any(g.m != graphs[0].m for g in graphs):
-        raise ValueError("summarize_many needs graphs of one size")
-    out = [[None] * len(graphs) for _ in motifs]
+    given = isinstance(graphs, GraphStack)
+    if not given:
+        graphs = list(graphs)
+        if any(g.m != graphs[0].m for g in graphs):
+            raise ValueError("summarize_many needs graphs of one size")
+    count = len(graphs)
+    m = graphs.m if given else graphs[0].m if graphs else 0
+    out = [[None] * count for _ in motifs]
     # graphs that fail the size, empty or complete gate go to summarize,
     # which raises them with its messages
-    stackable = [j for j, motif in enumerate(motifs) if graphs and graphs[0].m > motif.r]
-    live = [i for i, g in enumerate(graphs) if stackable and 0.0 < density(g) < 1.0]
-    step = _group_size(graphs[0].m) if graphs else 1
+    stackable = [j for j, motif in enumerate(motifs) if count and m > motif.r]
+    live = []
+    if stackable:
+        dens = density(graphs) if given else np.array([density(g) for g in graphs])
+        live = np.flatnonzero((0.0 < dens) & (dens < 1.0)).tolist()
+    step = _group_size(m) if count else 1
     for lo in range(0, len(live), step):
         group = live[lo:lo + step]
         if len(group) < 2:
             continue
-        stack = GraphStack([graphs[i] for i in group])
+        if not given:
+            stack = GraphStack([graphs[i] for i in group])
+        elif len(group) < count:
+            stack = GraphStack(graphs.adj[group])
+        else:
+            stack = graphs
         for j in stackable:
             try:
                 stacked = _summaries(stack, motifs[j], [""] * len(group))
@@ -289,12 +302,15 @@ def summarize_many(graphs, motifs: list[Motif]) -> list[list]:
                 continue
             for i, summary in zip(group, stacked):
                 out[j][i] = summary
-        # free this stack and its node pass before the next stack is built:
-        # holding them over took about 3% longer per cdf chunk at m = 40
+        # free this stack's node pass (a given stack outlives the call)
+        # before the next stack is built: holding it over took about 3%
+        # longer per cdf chunk at m = 40
+        stack._two_walks = None
         del stack
     for motif, summaries in zip(motifs, out):
-        for i, g in enumerate(graphs):
+        for i in range(count):
             if summaries[i] is None:
+                g = graphs.graphs[i] if given else graphs[i]
                 try:
                     summaries[i] = summarize(g, motif)
                 except DegenerateGraphError as exc:
@@ -563,7 +579,12 @@ def _expanded_cdf(c: EdgeworthCoeffs, u, ops):
 
 def cornish_fisher(c: EdgeworthCoeffs, level: float) -> float:
     """Corrected lower-`level` quantile of the studentized statistic."""
-    z = norm_quantile(level)
+    return _cornish_fisher_at(c, norm_quantile(level))
+
+
+def _cornish_fisher_at(c: EdgeworthCoeffs, z: float):
+    """`cornish_fisher` at the standard normal quantile z of its level, for
+    one pair or for arrays of pairs."""
     return z + c.I0 + c.Q1 + c.Q2 * (z * z - 1.0)
 
 
@@ -573,13 +594,27 @@ def smoothing_noise(m: int, n: int, c_delta: float, rng: np.random.Generator) ->
     Variance is c_delta * (log m / m + log n / n) with natural logs. With
     c_delta == 0 the draw is exactly 0 and the rng stream is not consumed.
     """
+    _check_smoothing(m, n, c_delta)
+    if c_delta == 0.0:
+        return 0.0
+    return float(rng.normal(0.0, _smoothing_sd(m, n, c_delta, _FLOAT_OPS)))
+
+
+def smoothing_deltas(m: int, n: int, c_delta: float, normals: np.ndarray):
+    """`smoothing_noise` of every stream whose draw would be the standard
+    normal z of `normals` (0.0 for them all when c_delta == 0):
+    Generator.normal(0, scale) is 0 + scale * z, bit for bit."""
+    _check_smoothing(m, n, c_delta)
+    if c_delta == 0.0:
+        return 0.0
+    return 0.0 + _smoothing_sd(m, n, c_delta, _FLOAT_OPS) * normals
+
+
+def _check_smoothing(m: int, n: int, c_delta: float) -> None:
     if m < 2 or n < 2:
         raise ValueError("smoothing noise needs m, n >= 2")
     if c_delta < 0:
         raise ValueError("c_delta must be >= 0")
-    if c_delta == 0.0:
-        return 0.0
-    return float(rng.normal(0.0, _smoothing_sd(m, n, c_delta, _FLOAT_OPS)))
 
 
 def _smoothing_sd(m, n, c_delta: float, ops):

@@ -106,24 +106,43 @@ def _is_symmetric(adj: np.ndarray) -> bool:
 class GraphStack:
     """Graphs of one size m, read as arrays with a leading batch axis.
 
-    `adj` is (B, m, m) and `degrees` (B, m), in the order of `graphs`. The
-    motif census, the projections and the pair rows take a stack wherever
-    they take a Graph; each value they return then has the batch axis, and a
-    scalar becomes a (B,) array. A stack caches its own A @ A node pass, one
-    batched product over every member; the members' own caches are left
-    untouched.
+    `adj` is (B, m, m) and `degrees` (B, m). A stack is built from a list of
+    same-size graphs, in their order, or from a (B, m, m) boolean adjacency
+    array, symmetric with empty diagonals, which it takes as it is (the
+    sampler's own arrays); its `graphs` are then built only if asked for.
+    The motif census, the projections and the pair rows take a stack
+    wherever they take a Graph; each value they return then has the batch
+    axis, and a scalar becomes a (B,) array. A stack caches its own A @ A
+    node pass, one batched product over every member; the members' own
+    caches are left untouched.
     """
 
-    __slots__ = ("graphs", "m", "adj", "degrees", "_two_walks")
+    __slots__ = ("m", "adj", "degrees", "_graphs", "_two_walks")
 
     def __init__(self, graphs):
-        self.graphs = list(graphs)
-        self.m = self.graphs[0].m
-        if any(g.m != self.m for g in self.graphs):
-            raise ValueError("the graphs of a stack must have one size")
-        self.adj = np.stack([g.adj for g in self.graphs])
-        self.degrees = np.stack([g.degrees for g in self.graphs])
+        if isinstance(graphs, np.ndarray):
+            adj, self._graphs = graphs, None
+        else:
+            self._graphs = list(graphs)
+            if any(g.m != self._graphs[0].m for g in self._graphs):
+                raise ValueError("the graphs of a stack must have one size")
+            adj = np.stack([g.adj for g in self._graphs])
+        adj.setflags(write=False)
+        self.adj = adj
+        self.m = adj.shape[-1]
+        self.degrees = adj.sum(axis=-1)
         self._two_walks = None
+
+    def __len__(self) -> int:
+        return len(self.adj)
+
+    @property
+    def graphs(self) -> list:
+        """The members as Graphs: those given, or views of the rows of the
+        array given, built on first use."""
+        if self._graphs is None:
+            self._graphs = [Graph(a, _owned=True) for a in self.adj]
+        return self._graphs
 
     @property
     def edge_count(self) -> np.ndarray:

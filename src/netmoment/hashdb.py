@@ -139,15 +139,49 @@ def hash_network(g: Graph, motifs: list[Motif], network_id: str) -> HashRecord:
     )
 
 
+# A stored value must have its field's JSON type: a string for ids and
+# names, an integer for n, r, s and schema_version, a number for the summary
+# values. Any other is refused, not converted.
+_JSON_KINDS = {str: "a string", int: "an integer"}
+_FLOAT_TYPE = {float}
+_BAD_VALUE = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _typed(obj: dict, key: str, kind: type):
+    """obj[key], which must be a JSON string or integer, as `kind` says (a
+    JSON true or false is not an integer)."""
+    value = obj[key]
+    if type(value) is not kind:
+        raise TypeError(f"{key} must be {_JSON_KINDS[kind]}, got {json.dumps(value)}")
+    return value
+
+
+def _summary_values(d: dict) -> list:
+    """The SUMMARY_FIELDS of a summary object as floats. Each must be a JSON
+    number, not true or false; the first value missing or of another type,
+    in SUMMARY_FIELDS order, is the one reported."""
+    values = list(map(d.get, SUMMARY_FIELDS))
+    if set(map(type, values)) == _FLOAT_TYPE:  # as record_to_json writes them
+        return values
+    for k, (name, value) in enumerate(zip(SUMMARY_FIELDS, values)):
+        if type(value) is int:
+            values[k] = float(value)  # OverflowError beyond the doubles
+        elif type(value) is not float:
+            if name not in d:
+                raise KeyError(name)
+            raise TypeError(f"{name} must be a number, got {json.dumps(value)}")
+    return values
+
+
 def _summary_from_dict(d: dict, network_id: str, n: int) -> NetworkSummary:
     try:
         motif = d["motif"]
-        # each value read and converted in turn, before the motif's, so a
-        # summary with several faults reports the first of them in that order
-        values = list(map(float, map(d.__getitem__, SUMMARY_FIELDS)))
-        return NetworkSummary(network_id, n, str(motif["name"]), int(motif["r"]),
-                              int(motif["s"]), *values)
-    except (KeyError, TypeError, ValueError) as exc:
+        # the values before the motif's, so a summary with several faults
+        # reports the first value fault
+        values = _summary_values(d)
+        return NetworkSummary(network_id, n, _typed(motif, "name", str), _typed(motif, "r", int),
+                              _typed(motif, "s", int), *values)
+    except _BAD_VALUE as exc:
         raise DbFormatError(f"bad summary object: {exc}") from exc
 
 
@@ -192,24 +226,30 @@ def record_to_json(record: HashRecord) -> str:
 
 
 def record_from_json(line: str) -> HashRecord:
+    """Parse and validate one NDJSON line; any fault raises DbFormatError."""
     try:
         payload = json.loads(line)
     except json.JSONDecodeError as exc:
         raise DbFormatError(f"invalid JSON: {exc}") from exc
     try:
-        network_id = str(payload["network_id"])
-        n = int(payload["n"])
+        network_id = _typed(payload, "network_id", str)
+        n = _typed(payload, "n", int)
         record = HashRecord(
             network_id,
             n,
-            str(payload.get("created_at", "")),
+            _typed(payload, "created_at", str) if "created_at" in payload else "",
             {s["motif"]["name"]: _summary_from_dict(s, network_id, n)
              for s in payload["summaries"]},
-            int(payload["schema_version"]),
+            _typed(payload, "schema_version", int),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_VALUE as exc:
         raise DbFormatError(f"bad record object: {exc}") from exc
-    record.validate()
+    try:
+        record.validate()
+    except DbFormatError:
+        raise
+    except ValueError as exc:  # a summary value out of its range, or not finite
+        raise DbFormatError(str(exc)) from exc
     return record
 
 

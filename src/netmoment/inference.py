@@ -30,6 +30,7 @@ from .edgeworth import (
     _FLOAT_OPS,
     _expanded_cdf,
     _expansion,
+    _pair_sizes,
     _size_columns,
     _smoothing_sd,
     _studentizer_sq,
@@ -38,6 +39,7 @@ from .edgeworth import (
     cornish_fisher,
     smoothing_noise,
 )
+from .projections import DegenerateGraphError
 
 DEFAULT_TEST_LEVEL = 0.05
 DEFAULT_CI_LEVEL = 0.90
@@ -155,13 +157,11 @@ def two_sample_p_values(
     whose own arithmetic fails, which flags every pair), and its p-value is
     meaningless; the caller runs `two_sample_test` on it instead.
     """
-    k, width = len(sbs), len(SUMMARY_FIELDS)
+    k = len(sbs)
     flagged = (np.full(k, math.nan), np.zeros(k, dtype=bool))
     if not (0.0 < level < 1.0 and c_delta >= 0.0 and sa.n >= 2):
         return flagged
-    table = np.fromiter(chain.from_iterable(map(operator.attrgetter(*SUMMARY_FIELDS), sbs)),
-                        np.float64, k * width).reshape(k, width)
-    cols = SimpleNamespace(**dict(zip(SUMMARY_FIELDS, np.ascontiguousarray(table.T))))
+    cols = _summary_columns(sbs)
     sizes = _size_columns(sa.n, [sb.n for sb in sbs])
     try:
         with np.errstate(all="ignore"):
@@ -182,6 +182,50 @@ def two_sample_p_values(
     ok = (np.isfinite(total) & (coeffs.S > 0.0) & (sizes[1] >= 2.0)
           & np.fromiter(map(sa.same_motif, sbs), bool, k))
     return p_values, ok
+
+
+def _summary_columns(summaries: list) -> SimpleNamespace:
+    """The SUMMARY_FIELDS of the summaries, as float64 columns."""
+    k, width = len(summaries), len(SUMMARY_FIELDS)
+    table = np.fromiter(chain.from_iterable(map(operator.attrgetter(*SUMMARY_FIELDS), summaries)),
+                        np.float64, k * width).reshape(k, width)
+    return SimpleNamespace(**dict(zip(SUMMARY_FIELDS, np.ascontiguousarray(table.T))))
+
+
+def combined_pairs(sas: list, sbs: list) -> tuple[np.ndarray, EdgeworthCoeffs, np.ndarray]:
+    """The pairs (sas[k], sbs[k]) that `combine` accepts, with their
+    coefficients and discrepancies, at once.
+
+    The summaries share one motif, and each side one size; there is at
+    least one pair. Returns (the k kept, their coefficients, their D) as
+    arrays, each element with the bits of `combine(sa, sb)` and
+    `scaled_discrepancy(sa, sb)`. The pair formulas run once over float64
+    columns of both sides; a pair whose S^2 or coefficients are not finite
+    there goes through `combine` alone, so it is dropped where `combine`
+    raises DegenerateGraphError, and any other error propagates.
+    """
+    cols_a, cols_b = _summary_columns(sas), _summary_columns(sbs)
+    cols_a.motif_s = sas[0].motif_s
+    sizes = _pair_sizes(sas[0].n, sbs[0].n)
+    with np.errstate(all="ignore"):
+        s_sq = _studentizer_sq(cols_a, cols_b, sizes)
+        coeffs = _expansion(cols_a, cols_b, s_sq, sizes, _ARRAY_OPS)
+        d_hat = scaled_discrepancy(cols_a, cols_b, _ARRAY_OPS)
+    columns = (coeffs.S, coeffs.I0, coeffs.Q1, coeffs.Q2)
+    ok = (s_sq > 0.0) & np.isfinite(s_sq)
+    for column in columns:
+        ok &= np.isfinite(column)
+    for k in np.flatnonzero(~ok).tolist():
+        try:
+            alone = combine(sas[k], sbs[k])
+        except DegenerateGraphError:
+            continue
+        for column, value in zip(columns, (alone.S, alone.I0, alone.Q1, alone.Q2)):
+            column[k] = value
+        ok[k] = True
+    kept = np.flatnonzero(ok)
+    S, I0, Q1, Q2 = (column[kept] for column in columns)
+    return kept, EdgeworthCoeffs(coeffs.m, coeffs.n, S, I0, Q1, Q2, coeffs.s_exp), d_hat[kept]
 
 
 def confidence_interval(

@@ -190,24 +190,54 @@ def sample_network(
 ) -> SampledNetwork:
     """Draw latent positions, clamp edge probabilities, flip independent edges.
 
-    The graphon is evaluated once on the m x m grid of latent pairs, and the
-    pairs i < j are kept in row-major order, the order of
-    `np.triu_indices(m, 1)`; one uniform draw per kept pair decides its edge.
-    The grid is the largest transient, 8 bytes per node pair.
+    The stream gives the m latents, then one uniform per node pair i < j, in
+    row-major order (the order of `np.triu_indices(m, 1)`):
+    `edge_probabilities` and `upper_adjacency` turn them into the graph, as
+    they do for a group of replicates in the CDF and coverage runners. The
+    graphon grid is the largest transient, 8 bytes per node pair.
     """
+    check_sample(rho, m)
+    x = rng.random(m)
+    upper = upper_cells(1, m)
+    w, clamped = edge_probabilities(graphon, rho, x[None], upper)
+    # the pair uniforms are drawn once the graphon grid is freed
+    adj = upper_adjacency(rng.random(w.shape[1]) < w, upper)
+    return SampledNetwork(graph=Graph(adj[0], _owned=True), latents=x, clamp_count=clamped)
+
+
+def check_sample(rho: float, m: int) -> None:
+    """Raise ValueError unless m >= 2 nodes and rho in (0, 1] can be drawn."""
     if m < 2:
         raise ValueError("need m >= 2")
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must be in (0,1], got {rho}")
-    x = rng.random(m)
+
+
+def upper_cells(b: int, m: int) -> np.ndarray:
+    """The cells i < j of b m x m grids, as a read-only mask of their whole
+    shape, which numpy applies without converting it to (8-byte) indices."""
     node = np.arange(m)
-    upper = node[:, None] < node
-    w = rho * np.asarray(graphon.f(x[:, None], x), dtype=np.float64)[upper]
-    clamped = int(np.count_nonzero((w > 1.0) | (w < 0.0)))
-    # a uniform draw in [0, 1) is below every w > 1 and below no w < 0, so
-    # the comparison itself clamps w into [0, 1]
-    edges = rng.random(w.shape[0]) < w
-    adj = np.zeros((m, m), dtype=bool)
-    adj[upper] = edges
-    adj.T[upper] = edges
-    return SampledNetwork(graph=Graph(adj, _owned=True), latents=x, clamp_count=clamped)
+    return np.broadcast_to(node[:, None] < node, (b, m, m))
+
+
+def edge_probabilities(graphon: Graphon, rho: float, x: np.ndarray, upper: np.ndarray):
+    """The edge probabilities rho f(x_i, x_j) of latents x, (B, m), and how
+    many of them lie outside [0, 1].
+
+    The graphon is evaluated once on the (B, m, m) grid of latent pairs, and
+    the pairs i < j (`upper`, from `upper_cells`) are kept in row-major
+    order, the order of `np.triu_indices(m, 1)`, as (B, m(m-1)/2). They are
+    left unclamped: a uniform draw in [0, 1) is below every w > 1 and below
+    no w < 0, so `u < w` draws the clamped edge.
+    """
+    w = rho * np.asarray(graphon.f(x[:, :, None], x[:, None, :]), dtype=np.float64)[upper]
+    return w.reshape(len(x), -1), int(np.count_nonzero((w > 1.0) | (w < 0.0)))
+
+
+def upper_adjacency(edges: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The (B, m, m) symmetric adjacencies of (B, m(m-1)/2) edge flags, one
+    per pair i < j of `upper` in row-major order."""
+    adj = np.zeros(upper.shape, dtype=bool)
+    adj[upper] = edges.reshape(-1)
+    adj.transpose(0, 2, 1)[upper] = edges.reshape(-1)
+    return adj

@@ -5,7 +5,7 @@ transcribing the estimator formulas one line at a time, with no shared code
 or vectorization tricks from the package under test. Keep it slow and
 obvious; it is the ground truth the fast paths are checked against.
 
-There are four exceptions. `frozen_summary` is a fixed numpy copy of the
+There are seven exceptions. `frozen_summary` is a fixed numpy copy of the
 dense summary pipeline (census closed forms, projections, pair matrices and
 the reductions) in its original operation order. It pins the package's
 summary bit for bit while the package reuses buffers in place.
@@ -13,8 +13,14 @@ summary bit for bit while the package reuses buffers in place.
 parser replaced, kept to pin its graphs, reports and error messages.
 `frozen_cdf_chunk` is the one-replicate-at-a-time CDF chunk that the grouped
 harness replaced, kept to pin its outputs byte for byte.
+`frozen_coverage_chunk` is the one-replicate-at-a-time coverage chunk, kept
+to pin the grouped chunk's outputs and the order in which its motifs take
+their smoothing draws.
 `frozen_sample_network` is the sampler that drew its edges over
 `np.triu_indices` pairs, kept to pin every draw bit for bit.
+`frozen_population_moment_exact` is the population oracle that evaluated the
+graphon on every point of the r-fold quadrature grid, kept to pin the
+broadcast oracle's values bit for bit.
 `frozen_query` is the store query that seeded and tested one entry at a
 time, kept to pin the array query's hits and errors bit for bit.
 """
@@ -430,6 +436,107 @@ def frozen_cdf_chunk(cfg, m, n, d_true, grid, cap_phi, lo, hi):
         corr = coeffs.Q1 + coeffs.Q2 * u2p1 + coeffs.I0
         g_sum += np.clip(cap_phi - phi_grid * corr, 0.0, 1.0)
     return t_values, g_sum, skipped, clamps
+
+
+def frozen_coverage_chunk(cfg, m, n, d_true, lo, hi):
+    """The coverage experiment chunk, one replicate at a time. Change nothing
+    here."""
+    from netmoment.edgeworth import (combine, cornish_fisher, norm_quantile,
+                                     smoothing_noise, summarize)
+    from netmoment.inference import interval_from_quantiles, scaled_discrepancy
+    from netmoment.motif import motif_from_spec
+    from netmoment.projections import DegenerateGraphError
+    from netmoment.rng import spawn_rng
+    from netmoment.sim.bootstrap import bootstrap_distribution
+    from netmoment.sim.experiments import _sample_pair
+
+    motifs = [motif_from_spec(name) for name in cfg.motifs]
+    alpha = 1.0 - cfg.level
+    covered = {(mo.name, meth): 0 for mo in motifs for meth in cfg.methods}
+    lengths = {(mo.name, meth): 0.0 for mo in motifs for meth in cfg.methods}
+    used = {mo.name: 0 for mo in motifs}
+    skipped = {mo.name: 0 for mo in motifs}
+    clamps = 0
+    for rep in range(lo, hi):
+        rng = spawn_rng(cfg.seed, "cov", m, n, rep)
+        net_a, net_b = _sample_pair(cfg, m, n, rng)
+        clamps += net_a.clamp_count + net_b.clamp_count
+        for mo in motifs:
+            try:
+                sa = summarize(net_a.graph, mo)
+                sb = summarize(net_b.graph, mo)
+                coeffs = combine(sa, sb)
+            except DegenerateGraphError:
+                skipped[mo.name] += 1
+                continue
+            used[mo.name] += 1
+            d_hat = scaled_discrepancy(sa, sb)
+            delta = smoothing_noise(m, n, cfg.c_delta, rng)
+            target = d_true[mo.name]
+            for meth in cfg.methods:
+                if meth == "edgeworth":
+                    q_lo = cornish_fisher(coeffs, alpha / 2.0)
+                    q_hi = cornish_fisher(coeffs, 1.0 - alpha / 2.0)
+                elif meth == "normal":
+                    q_lo = norm_quantile(alpha / 2.0)
+                    q_hi = norm_quantile(1.0 - alpha / 2.0)
+                else:
+                    boot = bootstrap_distribution(
+                        net_a.graph, net_b.graph, mo, meth,
+                        n_boot=cfg.n_boot,
+                        rng=spawn_rng(cfg.seed, "cov-boot", meth, m, n, rep),
+                        center=d_hat, c_delta=cfg.c_delta,
+                    )
+                    if len(boot.values) < max(10, cfg.n_boot // 4):
+                        continue
+                    q_lo, q_hi = np.quantile(boot.values, [alpha / 2.0, 1.0 - alpha / 2.0])
+                if q_lo >= q_hi:
+                    continue
+                lo_end, hi_end = interval_from_quantiles(d_hat, coeffs.S, delta, q_lo, q_hi)
+                covered[(mo.name, meth)] += int(lo_end < target < hi_end)
+                lengths[(mo.name, meth)] += hi_end - lo_end
+    return covered, lengths, used, skipped, clamps
+
+
+def frozen_population_moment_exact(graphon, motif, rho, quad_order=64):
+    """`population_scaled_moment_exact` as it was when the quadrature route
+    evaluated the graphon at every point of the r-fold grid, one pair of
+    latent columns at a time. Change nothing here."""
+    from netmoment.sim.graphons import gl_nodes
+    from netmoment.sim.oracle import _containment_terms
+
+    def containment(p_edges):
+        total = np.zeros_like(np.asarray(p_edges[0], dtype=np.float64))
+        for flags in _containment_terms(motif):
+            prob = np.ones_like(total)
+            for flag, p in zip(flags, p_edges):
+                prob = prob * (p if flag else (1.0 - p))
+            total += prob
+        return total
+
+    r, s = motif.r, motif.s
+    scale = rho ** (-s)
+    pairs = list(itertools.combinations(range(r), 2))
+    if graphon.is_block:
+        sizes = np.asarray(graphon.block_sizes)
+        rates = np.asarray(graphon.block_rates)
+        total = 0.0
+        for assign in itertools.product(range(len(sizes)), repeat=r):
+            weight = float(np.prod(sizes[list(assign)]))
+            p_edges = [np.asarray(np.clip(rho * rates[assign[a], assign[b]], 0.0, 1.0),
+                                  dtype=np.float64) for a, b in pairs]
+            total += weight * float(containment(p_edges))
+        return scale * total
+    x, w = gl_nodes(quad_order)
+    grids = np.meshgrid(*([x] * r), indexing="ij")
+    latents = np.stack([g.ravel() for g in grids], axis=1)
+    p_edges = [np.clip(rho * np.asarray(graphon.f(latents[:, a], latents[:, b]),
+                                        dtype=np.float64), 0.0, 1.0) for a, b in pairs]
+    cond = containment(p_edges)
+    weights = np.ones_like(cond)
+    for wg in np.meshgrid(*([w] * r), indexing="ij"):
+        weights = weights * wg.ravel()
+    return scale * float(weights @ cond)
 
 
 def frozen_sample_network(graphon, rho, m, rng):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from netmoment.sim import (
 )
 from netmoment.sim.graphons import normalization_integral
 
-from oracles import frozen_sample_network
+from oracles import frozen_population_moment_exact, frozen_sample_network
 
 PAPER_TAUS = {
     "SmoothGraphon-1": 1.0,
@@ -211,3 +212,17 @@ def test_sample_network_peak_memory(name, rho):
         tracemalloc.stop()
     assert net.graph.m == m
     assert peak < 20 * m * m, peak / (m * m)
+
+
+@pytest.mark.parametrize("name", BUILTIN_GRAPHON_NAMES)
+def test_population_moment_exact_matches_frozen_oracle_bit_for_bit(name):
+    # rho = 0.4 clamps several smooth graphons: the quadrature warns, and
+    # still integrates the clamped kernel
+    graphon = builtin_graphon(name)
+    for motif in (EDGE, VSHAPE, TRIANGLE):
+        for rho in (0.05, 0.25, 0.4):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                got = population_scaled_moment_exact(graphon, motif, rho)
+                want = frozen_population_moment_exact(graphon, motif, rho)
+            assert got.hex() == want.hex(), (motif.name, rho)

@@ -318,9 +318,10 @@ def _edited_line(edit):
     return json.dumps(payload, separators=(",", ":"), sort_keys=True)
 
 
-# The loader's answer to each malformed line, as the second line of a store.
-# A DbFormatError names the path and line; a summary value that decodes but
-# is out of range raises the summary's own ValueError, without either.
+# The loader's answer to each malformed line, as the second line of a store:
+# a DbFormatError that names the path and line. A value of the wrong JSON
+# type is refused, not converted, and a value that decodes but is out of
+# range raises with the summary's own message.
 MALFORMED_LINES = [
     pytest.param(_edit("n", None), DbFormatError, "bad record object: 'n'", id="missing-n"),
     pytest.param(_edit("summaries", None), DbFormatError, "bad record object: 'summaries'",
@@ -329,37 +330,62 @@ MALFORMED_LINES = [
                  "bad record object: bad summary object: 'rho_hat'", id="missing-rho_hat"),
     pytest.param(_edit("r", None, "motif"), DbFormatError,
                  "bad record object: bad summary object: 'r'", id="missing-motif-r"),
-    pytest.param(_edit("rho_hat", True, "summary"), ValueError,
-                 "rho_hat must be in (0,1), got 1.0", id="true-rho_hat"),
-    pytest.param(_edit("n", True), ValueError, "n=1 too small for motif r=3", id="true-n"),
+    pytest.param(_edit("rho_hat", True, "summary"), DbFormatError,
+                 "bad record object: bad summary object: rho_hat must be a number, got true",
+                 id="true-rho_hat"),
+    pytest.param(_edit("n", True), DbFormatError,
+                 "bad record object: n must be an integer, got true", id="true-n"),
     pytest.param(_edit("u_hat", [0.5], "summary"), DbFormatError,
-                 "bad record object: bad summary object: float() argument must be a string "
-                 "or a real number, not 'list'", id="list-u_hat"),
+                 "bad record object: bad summary object: u_hat must be a number, got [0.5]",
+                 id="list-u_hat"),
     pytest.param(_edit("e_a1_a3", "x", "summary"), DbFormatError,
-                 "bad record object: bad summary object: could not convert string to float: 'x'",
+                 'bad record object: bad summary object: e_a1_a3 must be a number, got "x"',
                  id="text-e_a1_a3"),
-    # two faults in one summary: the values are read and converted in
+    # two faults in one summary: the values are read and checked in
     # SUMMARY_FIELDS order, all before the motif's name, r and s
     pytest.param(_edits(_edit("r", None, "motif"), _edit("e_a1_a3", "x", "summary")),
                  DbFormatError,
-                 "bad record object: bad summary object: could not convert string to float: 'x'",
+                 'bad record object: bad summary object: e_a1_a3 must be a number, got "x"',
                  id="text-e_a1_a3-and-missing-motif-r"),
     pytest.param(_edits(_edit("e_a1a1a2", None, "summary"), _edit("u_hat", [0.5], "summary")),
                  DbFormatError,
-                 "bad record object: bad summary object: float() argument must be a string "
-                 "or a real number, not 'list'", id="list-u_hat-and-missing-e_a1a1a2"),
-    pytest.param(('"e_a1_a3":', '"e_a1_a3":NaN,"was":'), ValueError,
+                 "bad record object: bad summary object: u_hat must be a number, got [0.5]",
+                 id="list-u_hat-and-missing-e_a1a1a2"),
+    pytest.param(_edits(_edit("u_hat", 10**400, "summary"), _edit("e_a1a1a2", None, "summary")),
+                 DbFormatError,
+                 "bad record object: bad summary object: int too large to convert to float",
+                 id="huge-int-u_hat-and-missing-e_a1a1a2"),
+    pytest.param(('"e_a1_a3":', '"e_a1_a3":NaN,"was":'), DbFormatError,
                  "non-finite summary field e_a1_a3", id="nan-token"),
     pytest.param(_edit("schema_version", 2), DbFormatError, "unsupported schema_version 2",
                  id="schema-2"),
     pytest.param(_edit("summaries", []), DbFormatError, "record 'ok' has no summaries",
                  id="empty-summaries"),
     pytest.param(_edit("name", 3, "motif"), DbFormatError,
-                 "record 'ok': key 3 does not match summary motif '3'", id="motif-key-mismatch"),
-    pytest.param(_edit("rho_hat", 1.5, "summary"), ValueError,
+                 "bad record object: bad summary object: name must be a string, got 3",
+                 id="motif-key-mismatch"),
+    pytest.param(_edit("rho_hat", 1.5, "summary"), DbFormatError,
                  "rho_hat must be in (0,1), got 1.5", id="rho_hat-above-1"),
-    pytest.param(_edit("u_hat", -0.25, "summary"), ValueError,
+    pytest.param(_edit("u_hat", -0.25, "summary"), DbFormatError,
                  "u_hat must be in [0,1], got -0.25", id="u_hat-below-0"),
+    pytest.param(_edit("rho_hat", "0.5", "summary"), DbFormatError,
+                 'bad record object: bad summary object: rho_hat must be a number, got "0.5"',
+                 id="text-rho_hat"),
+    pytest.param(_edit("n", 43.0), DbFormatError,
+                 "bad record object: n must be an integer, got 43.0", id="float-n"),
+    pytest.param(_edit("n", 15.5), DbFormatError,
+                 "bad record object: n must be an integer, got 15.5", id="fractional-n"),
+    pytest.param(_edit("e_a1_a3", True, "summary"), DbFormatError,
+                 "bad record object: bad summary object: e_a1_a3 must be a number, got true",
+                 id="true-e_a1_a3"),
+    pytest.param(_edit("r", 3.0, "motif"), DbFormatError,
+                 "bad record object: bad summary object: r must be an integer, got 3.0",
+                 id="float-motif-r"),
+    pytest.param(_edit("network_id", 7), DbFormatError,
+                 "bad record object: network_id must be a string, got 7", id="int-network_id"),
+    pytest.param(lambda payload: payload.update(created_at=None), DbFormatError,
+                 "bad record object: created_at must be a string, got null",
+                 id="null-created_at"),
     pytest.param(("{", "{{"), DbFormatError,
                  "invalid JSON: Expecting property name enclosed in double quotes: "
                  "line 1 column 2 (char 1)", id="bad-json"),
@@ -378,14 +404,11 @@ def test_db_load_malformed_line_table(tmp_path, edit, error, message):
     assert str(info.value) == want
 
 
-# Lines that the loader takes, converting values that are not of their JSON
-# type the way `int`, `float` and `str` do, and ignoring unknown keys; each
+# Lines that the loader takes: a JSON integer in a float field becomes its
+# float, a missing created_at is empty, and unknown keys are ignored; each
 # row gives the fields that differ from the good record.
 COERCED_LINES = [
-    pytest.param(_edit("rho_hat", "0.5", "summary"), {"rho_hat": 0.5}, id="text-rho_hat"),
-    pytest.param(_edit("n", 43.0), {"n": 43}, id="float-n"),
-    pytest.param(_edit("e_a1_a3", True, "summary"), {"e_a1_a3": 1.0}, id="true-e_a1_a3"),
-    pytest.param(_edit("r", 3.0, "motif"), {}, id="float-motif-r"),
+    pytest.param(_edit("e_a1_a3", 0, "summary"), {"e_a1_a3": 0.0}, id="int-e_a1_a3"),
     pytest.param(_edit("created_at", None), {"created_at": ""}, id="missing-created_at"),
     pytest.param(_edit("extra", {"any": [1]}), {}, id="unknown-record-key"),
     pytest.param(_edit("extra", 1, "summary"), {}, id="unknown-summary-key"),

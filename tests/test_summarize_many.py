@@ -1,4 +1,4 @@
-"""Grouped summaries: `summarize_many` against the frozen oracles, bit for bit."""
+"""Grouped summaries and replicate groups against the frozen oracles, bit for bit."""
 
 import dataclasses
 import pickle
@@ -16,11 +16,11 @@ from netmoment.graph import GraphStack
 from netmoment.motif import moment_census, motif_by_name, motif_from_spec
 from netmoment.projections import g2_matrix, grho2_matrix
 from netmoment.rng import spawn_rng
-from netmoment.sim import experiments
-from netmoment.sim.experiments import CdfConfig
+from netmoment.sim import BUILTIN_GRAPHON_NAMES, experiments
+from netmoment.sim.experiments import CdfConfig, CoverageConfig, PairConfig
 
 from conftest import random_graph
-from oracles import frozen_cdf_chunk, frozen_summary
+from oracles import frozen_cdf_chunk, frozen_coverage_chunk, frozen_summary
 
 
 def field_hex(values):
@@ -204,3 +204,55 @@ def test_cdf_chunk_matches_frozen_chunk_byte_for_byte(m, n, rho, reps):
     assert pickle.dumps(got) == pickle.dumps(want)
     if rho == 0.05:
         assert 0 < got[2] < reps  # skipped, and some replicates used
+
+
+@pytest.mark.parametrize("name", BUILTIN_GRAPHON_NAMES)
+def test_replicate_groups_draw_what_each_replicate_draws(name):
+    # the graphon grid of a group, (B, m, m), against one network's (m, m):
+    # every shape here puts the cells at other offsets of numpy's vector loops
+    for (m, n), rho in [((40, 40), 0.25), ((33, 17), 0.6), ((2, 3), 1.0)]:
+        cfg = PairConfig(graphon_a=name, graphon_b="SmoothGraphon-6", rho_a=rho, rho_b=rho,
+                         seed=31)
+        for reps, stack_a, stack_b, clamps, normals in experiments._replicate_groups(
+                cfg, "cov", m, n, 3, 53, 2):
+            want_clamps = 0
+            for k, rep in enumerate(reps):
+                rng = spawn_rng(cfg.seed, "cov", m, n, rep)
+                net_a, net_b = experiments._sample_pair(cfg, m, n, rng)
+                assert np.array_equal(stack_a.adj[k], net_a.graph.adj), (m, n, rep)
+                assert np.array_equal(stack_b.adj[k], net_b.graph.adj), (m, n, rep)
+                assert normals[k].tobytes() == rng.standard_normal(2).tobytes()
+                want_clamps += net_a.clamp_count + net_b.clamp_count
+            assert clamps == want_clamps
+
+
+def coverage_case(c_delta, methods=("edgeworth", "normal"), reps=120, n_boot=200):
+    """Triangle and vshape at a sparsity where the triangle is degenerate in
+    about one replicate of ten: the vshape then takes the replicate's first
+    smoothing draw, not its second. A large c_delta makes coverage turn on
+    the draws."""
+    cfg = CoverageConfig(motifs=("triangle", "vshape"), sizes=((20, 20),), rho_a=0.1,
+                         rho_b=0.1, reps=1000, seed=23, c_delta=c_delta, methods=methods,
+                         n_boot=n_boot)
+    d_true = {name: experiments._d_true(cfg, motif_by_name(name)) for name in cfg.motifs}
+    return cfg, 20, 20, d_true, 5, 5 + reps
+
+
+@pytest.mark.parametrize("c_delta", [0.0, 0.01, 20.0])
+def test_coverage_chunk_matches_frozen_chunk_byte_for_byte(c_delta):
+    args = coverage_case(c_delta)
+    got = experiments._coverage_chunk(*args)
+    assert pickle.dumps(got) == pickle.dumps(frozen_coverage_chunk(*args))
+    used, skipped = got[2], got[3]
+    assert skipped["vshape"] < skipped["triangle"] < used["triangle"]
+
+
+def test_coverage_chunk_bootstrap_matches_frozen_chunk():
+    # the one-replicate chunk adds numpy floats into a bootstrap method's
+    # length, the grouped chunk Python floats of the same value
+    args = coverage_case(20.0, methods=("edgeworth", "subsample"), reps=12, n_boot=40)
+    got = experiments._coverage_chunk(*args)
+    want = frozen_coverage_chunk(*args)
+    assert got[0] == want[0] and got[2:] == want[2:]
+    assert {k: float(v).hex() for k, v in got[1].items()} == {
+        k: float(v).hex() for k, v in want[1].items()}
