@@ -9,6 +9,20 @@ terms are built a block of rows at a time and reduced at once, in numpy's
 own summation order. All population
 quantities are replaced by their plug-in estimates.
 
+One kernel (`_summaries`) summarizes a graph for every motif of a call at
+once. Each motif builds its node terms; then a single walk over the leaves
+of numpy's summation tree builds each leaf's motif-free blocks once (the
+grho2 rows, and the rows of A @ A that the r = 3 closed forms read), and
+every live motif adds its own pair terms to them. The motifs' leaf sums are
+added as one small array, element by element, so each summary keeps the
+bits it has alone, and a motif that fails (too few nodes, an empty or
+complete graph, an overflow) is dropped alone with the error `summarize`
+raises for it. `summarize` is that kernel with one motif, `hash_network`
+calls it once per network. On a dense m = 1000 graph the node pass's half
+product (see `motif._TwoWalks`) and the shared walk took a triangle and
+vshape hash from about 140 to about 60 ms in-process (2 vCPUs, one BLAS
+thread), every summary bit for bit.
+
 `summarize_many` runs the same kernel over a stack of same-size graphs, with
 a leading batch axis on every array: 2^16 / m^2 graphs of m <= 90 nodes at a
 time (40 at m = 40, 10 at m = 80), each stack built once for all the motifs
@@ -53,7 +67,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .graph import Graph, GraphStack, density
-from .motif import Motif, _zero_diagonal, moment_census
+from .motif import Motif, _reads_two_walks, _two_walks, _zero_diagonal, moment_census
 from .projections import (
     DegenerateGraphError,
     ProjectionSet,
@@ -220,13 +234,17 @@ def _pairwise_sum(start: int, n: int, leaf_sum) -> float:
     n // 2 elements, rounded down to a multiple of 8, plus the sum of the
     rest. This descends that tree to subtrees of at most _LEAF elements,
     calls leaf_sum(start, stop) on each, left to right, and adds the results
-    as numpy would.
+    as numpy would: element by element when they are arrays, to inf or nan
+    without raising, as Python floats add.
     """
     if n <= _LEAF:
         return leaf_sum(start, start + n)
     half = n // 2
     half -= half % 8
-    return _pairwise_sum(start, half, leaf_sum) + _pairwise_sum(start + half, n - half, leaf_sum)
+    left = _pairwise_sum(start, half, leaf_sum)
+    right = _pairwise_sum(start + half, n - half, leaf_sum)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return left + right
 
 
 def _group_size(m: int) -> int:
@@ -249,10 +267,13 @@ def summarize(g: Graph, motif: Motif, network_id: str = "") -> NetworkSummary:
     its plug-in estimate. Pairwise terms are built a block of rows at a time
     and reduced at once, so no m x m float array is ever alive; the blocks
     follow numpy's summation order, so the result has the bits of a sum over
-    the full matrices. This is the kernel of `summarize_many`, run on a group
-    of one graph.
+    the full matrices. This is the kernel of `summarize_many` and
+    `hash_network`, run on one graph and one motif.
     """
-    return _summaries(g, motif, [network_id])[0]
+    result, = _summaries(g, [motif], [network_id])
+    if isinstance(result, Exception):
+        raise result
+    return result[0]
 
 
 def summarize_many(graphs, motifs: list[Motif]) -> list[list]:
@@ -264,10 +285,12 @@ def summarize_many(graphs, motifs: list[Motif]) -> list[list]:
     `summarize` raises for it. Graphs of m nodes go through the kernel in
     stacks of `_group_size(m)`, with a leading batch axis on every array;
     each reduction sums every graph's row as it sums that graph alone, so
-    each summary has the bits of `summarize`. A stack is built once for all
-    the motifs, so motifs of r = 3 share its A @ A pass; a GraphStack whose
-    every member is live is that stack itself. A stack whose arithmetic
-    overflows for a motif is redone one graph at a time.
+    each summary has the bits of `summarize`. The kernel takes a stack once
+    for all the motifs, so they share its A @ A pass and its motif-free pair
+    blocks; a GraphStack whose every member is live is that stack itself. A
+    motif that fails on a stack (a member's arithmetic overflowed) is redone
+    one graph at a time; a graph summarized alone also takes all its motifs
+    in one call.
     """
     given = isinstance(graphs, GraphStack)
     if not given:
@@ -277,8 +300,8 @@ def summarize_many(graphs, motifs: list[Motif]) -> list[list]:
     count = len(graphs)
     m = graphs.m if given else graphs[0].m if graphs else 0
     out = [[None] * count for _ in motifs]
-    # graphs that fail the size, empty or complete gate go to summarize,
-    # which raises them with its messages
+    # graphs that fail the size, empty or complete gate go alone, where the
+    # kernel gives their messages
     stackable = [j for j, motif in enumerate(motifs) if count and m > motif.r]
     live = []
     if stackable:
@@ -295,72 +318,133 @@ def summarize_many(graphs, motifs: list[Motif]) -> list[list]:
             stack = GraphStack(graphs.adj[group])
         else:
             stack = graphs
-        for j in stackable:
-            try:
-                stacked = _summaries(stack, motifs[j], [""] * len(group))
-            except DegenerateGraphError:  # a member overflowed: one at a time
-                continue
-            for i, summary in zip(group, stacked):
-                out[j][i] = summary
+        results = _summaries(stack, [motifs[j] for j in stackable], [""] * len(group))
+        for j, result in zip(stackable, results):
+            if not isinstance(result, Exception):
+                for i, summary in zip(group, result):
+                    out[j][i] = summary
         # free this stack's node pass (a given stack outlives the call)
         # before the next stack is built: holding it over took about 3%
         # longer per cdf chunk at m = 40
         stack._two_walks = None
         del stack
-    for motif, summaries in zip(motifs, out):
-        for i in range(count):
-            if summaries[i] is None:
-                g = graphs.graphs[i] if given else graphs[i]
-                try:
-                    summaries[i] = summarize(g, motif)
-                except DegenerateGraphError as exc:
-                    summaries[i] = exc
+    for i in range(count):
+        todo = [j for j, summaries in enumerate(out) if summaries[i] is None]
+        if not todo:
+            continue
+        g = graphs.graphs[i] if given else graphs[i]
+        for j, result in zip(todo, _summaries(g, [motifs[j] for j in todo], [""])):
+            if isinstance(result, DegenerateGraphError):
+                out[j][i] = result
+            elif isinstance(result, Exception):
+                raise result
+            else:
+                out[j][i] = result[0]
     return out
 
 
-def _summaries(g: Graph | GraphStack, motif: Motif, network_ids: list) -> list:
-    """The summary kernel, for one graph or for each graph of a stack.
+@np.errstate(over="raise", invalid="raise")  # reported per motif: `_MotifTerms.too_extreme`
+def _summaries(g: Graph | GraphStack, motifs: list[Motif], network_ids: list) -> list:
+    """The summary kernel, for one graph or for each graph of a stack, and
+    for every motif at once.
 
-    A stack carries its scalars as (B, 1, 1) columns and its per-node values
-    as (B, 1, m) rows, so each formula below broadcasts over the stack as
-    written for one graph. One graph keeps Python floats for its scalars.
+    Entry k is the list of motifs[k]'s summaries, one per graph, or the
+    exception that stopped that motif (a ValueError or ArithmeticError, with
+    the message `summarize` raises); the other motifs go on without it. Each
+    motif first builds its node terms (`_MotifTerms`). One walk over the
+    leaves of numpy's summation tree then builds, per leaf, the blocks that
+    no motif changes, the grho2 rows and (when a motif reads them) the rows
+    of A @ A, and each live motif adds its own pair terms in the order and
+    with the buffers it uses alone. `_pairwise_sum` adds the leaf sums of
+    all the motifs as one small array, element by element, so each motif's
+    sum has the bits it has alone. A stack carries its scalars as (B, 1, 1)
+    columns and its per-node values as (B, 1, m) rows, so each formula
+    broadcasts over the stack as written for one graph.
     """
-    if g.m < motif.r + 1:
-        raise DegenerateGraphError(f"m={g.m} too small for motif r={motif.r}")
+    results = [None] * len(motifs)
+    terms = {}
+    for k, motif in enumerate(motifs):
+        try:
+            terms[k] = _MotifTerms(g, motif)
+        except (ValueError, ArithmeticError) as exc:
+            results[k] = exc
+    if not terms:
+        return results
     m = g.m
-    stacked = isinstance(g, GraphStack)
-    # a graph of one leaf gets its pair averages with the census
-    census = moment_census(g, motif, want_pairs=m * m <= _LEAF)
-    ps = project(g, motif, _census=census)
-    rho = ps.rho_hat
-    if _any(rho >= 1.0):
-        raise DegenerateGraphError("degenerate sparsity: complete graph (rho_hat = 1)")
+    # grho1 and rho_hat, all that grho2 reads, are the same for every motif
+    ps = next(iter(terms.values())).ps
+    shape = (len(motifs),) + ps.g1.shape[:-1]  # a sum per motif (and graph)
 
-    r, s = motif.r, motif.s
-    u_hat, xi_g, xi_rho, xi_x = ps.u_hat, ps.xi_A1_sq, ps.xi_rhoA1_sq, ps.xi_cross
-    g1, grho1 = ps.g1, ps.grho1
-    if stacked:
-        u_hat, xi_g, xi_rho, xi_x = map(_cell, (u_hat, xi_g, xi_rho, xi_x))
-        g1, grho1 = g1[:, None, :], grho1[:, None, :]
+    def leaf_sum(start: int, stop: int):
+        lo, hi = start // m, -(-stop // m)  # the rows the cells touch
+        cells = slice(start - lo * m, stop - lo * m)
+        leaf = np.zeros(shape)
+        if not terms:
+            return leaf
+        grm2 = grho2_matrix(g, ps, lo, hi)
+        reads_rows = any(t.census.pair_avgs is None and _reads_two_walks(t.motif)
+                         for t in terms.values())
+        rows = _two_walks(g).counts(lo, hi) if reads_rows else None
+        for k, t in list(terms.items()):
+            try:
+                leaf[k] = t.leaf_sum(lo, hi, cells, grm2, rows)
+            except DegenerateGraphError as exc:
+                results[k] = exc
+                del terms[k]
+        return leaf
 
-    with np.errstate(over="raise", invalid="raise"):
+    pair_sums = _pairwise_sum(0, m * m, leaf_sum)  # inf or nan if they overflow
+    for k, t in terms.items():
+        try:
+            results[k] = t.summaries(pair_sums[k], network_ids)
+        except (ValueError, ArithmeticError) as exc:
+            results[k] = exc
+    return results
+
+
+class _MotifTerms:
+    """One motif's part of the summary kernel: its node terms, its pair terms
+    one leaf at a time, and then its summaries."""
+
+    def __init__(self, g: Graph | GraphStack, motif: Motif):
+        if g.m < motif.r + 1:
+            raise DegenerateGraphError(f"m={g.m} too small for motif r={motif.r}")
+        m = g.m
+        self.g, self.motif = g, motif
+        self.stacked = stacked = isinstance(g, GraphStack)
+        # a graph of one leaf gets its pair averages with the census
+        self.census = moment_census(g, motif, want_pairs=m * m <= _LEAF)
+        self.ps = ps = project(g, motif, _census=self.census)
+        if _any(ps.rho_hat >= 1.0):
+            raise DegenerateGraphError("degenerate sparsity: complete graph (rho_hat = 1)")
+
+        r, s = motif.r, motif.s
+        u_hat, xi_g, xi_rho, xi_x = ps.u_hat, ps.xi_A1_sq, ps.xi_rhoA1_sq, ps.xi_cross
+        g1, grho1 = ps.g1, ps.grho1
+        if stacked:
+            u_hat, xi_g, xi_rho, xi_x = map(_cell, (u_hat, xi_g, xi_rho, xi_x))
+            g1, grho1 = g1[:, None, :], grho1[:, None, :]
+        self.u_hat, self.g1, self.grho1 = u_hat, g1, grho1
+
         try:
             # Python's float power, one graph at a time: numpy's vector power
             # can differ from it in the last bit
             powers = (s, s + 1, s + 2, 2 * s, 2 * s + 1, 2 * s + 2, 2 * s + 3)
             if stacked:
-                rp = {k: _cell(np.array([x ** (-k) for x in rho.tolist()])) for k in powers}
+                rp = {k: _cell(np.array([x ** (-k) for x in ps.rho_hat.tolist()]))
+                      for k in powers}
             else:
-                rp = {k: rho ** (-k) for k in powers}
+                rp = {k: ps.rho_hat ** (-k) for k in powers}
+            self.rp = rp
 
-            a1_moment = r * rp[s] * g1  # the two terms of alpha1
-            a1_density = 2.0 * s * rp[s + 1] * u_hat * grho1
-            alpha1 = a1_moment - a1_density
-            alpha0 = (
+            self.a1_moment = r * rp[s] * g1  # the two terms of alpha1
+            self.a1_density = 2.0 * s * rp[s + 1] * u_hat * grho1
+            self.alpha1 = alpha1 = self.a1_moment - self.a1_density
+            self.alpha0 = (
                 2.0 * s * (s + 1) * rp[s + 2] * u_hat * xi_rho
                 - 2.0 * r * s * rp[s + 1] * xi_x
             )
-            alpha3 = (
+            self.alpha3 = (
                 -4.0 * r * r * s * rp[2 * s + 1] * xi_g * grho1
                 + r * r * rp[2 * s] * (g1 * g1 - xi_g)
                 - 16.0 * s * s * (s + 1) * rp[2 * s + 3] * u_hat * u_hat * xi_rho * grho1
@@ -372,116 +456,132 @@ def _summaries(g: Graph | GraphStack, motif: Motif, network_ids: list) -> list:
                     + rp[2 * s + 1] * u_hat * (g1 * grho1 - xi_x)
                 )
             )
-            alpha1_col = alpha1[:, 0] if stacked else alpha1  # the row index i, below
+            self.alpha1_col = alpha1[:, 0] if stacked else alpha1  # the row index i, below
+        except (FloatingPointError, OverflowError) as exc:  # under _summaries' errstate
+            raise self.too_extreme(exc) from exc
+        self.colsum = None  # alpha4 column sums over rows 0..done-1
+        self.done = 0
 
-            # alpha4 and alpha2 are asymmetric (the row index is the first
-            # argument of the pair function):
-            #   alpha4_ij = 2 r^2 (r-1) rho^-2s g1_i g2_ij
-            #             + 8 s^2 rho^-(2s+2) u^2 grho1_i grho2_ij
-            #             - 4 r (r-1) s rho^-(2s+1) u grho1_i g2_ij
-            #             - 4 r s rho^-(2s+1) u g1_i grho2_ij
-            #   alpha2_ij = r (r-1)/2 rho^-s g2_ij - s rho^-(s+1) u grho2_ij
-            #             + 2 s (s+1) rho^-(s+2) u grho1_i grho1_j
-            #             - 2 r s rho^-(s+1) grho1_i g1_j
-            # Each is summed term by term, in this order, into one buffer.
-            # e_a4_a1 averages over ordered pairs with alpha1 attached to the
-            # second argument, from the column sums of alpha4; e_a1a1a2 sums
-            # alpha1_i alpha1_j alpha2_ij over all m^2 cells.
-            colsum = None  # alpha4 column sums over rows 0..done-1
-            done = 0
+    def too_extreme(self, exc: ArithmeticError) -> DegenerateGraphError:
+        """The motif's error for an overflow or invalid operation."""
+        return DegenerateGraphError(f"sparsity too extreme for motif {self.motif.name}: {exc}")
 
-            def leaf_sum(start: int, stop: int):
-                nonlocal colsum, done
-                lo, hi = start // m, -(-stop // m)  # the rows the cells touch
-                gm2 = g2_matrix(g, motif, ps, lo, hi, _census=census)
-                grm2 = grho2_matrix(g, ps, lo, hi)
-                g1_i, grho1_i = ps.g1[..., lo:hi, None], ps.grho1[..., lo:hi, None]
+    def leaf_sum(self, lo: int, hi: int, cells: slice, grm2: np.ndarray, rows):
+        """The sum of alpha1_i alpha1_j alpha2_ij over the leaf's cells, and
+        the leaf's rows of alpha4 into the column sums.
 
-                acc = np.multiply(g1_i, gm2)
-                acc *= 2.0 * r * r * (r - 1) * rp[2 * s]
-                term = np.multiply(grho1_i, grm2)
-                term *= 8.0 * s * s * rp[2 * s + 2] * u_hat * u_hat
-                acc += term
-                np.multiply(grho1_i, gm2, out=term)
-                term *= 4.0 * r * (r - 1) * s * rp[2 * s + 1] * u_hat
-                acc -= term
-                np.multiply(g1_i, grm2, out=term)
-                term *= 4.0 * r * s * rp[2 * s + 1] * u_hat
-                acc -= term
-                _zero_diagonal(acc, lo)  # acc = alpha4
-                # numpy's sum over the row axis adds one row at a time, so
-                # adding each new row in turn keeps its bits; a row shared
-                # with the previous leaf is already in
-                if colsum is None:
-                    colsum = np.add.reduce(acc, axis=-2)
-                else:
-                    for row in range(done - lo, hi - lo):
-                        colsum += acc[..., row, :]
-                done = hi
+        alpha4 and alpha2 are asymmetric (the row index is the first argument
+        of the pair function):
+          alpha4_ij = 2 r^2 (r-1) rho^-2s g1_i g2_ij
+                    + 8 s^2 rho^-(2s+2) u^2 grho1_i grho2_ij
+                    - 4 r (r-1) s rho^-(2s+1) u grho1_i g2_ij
+                    - 4 r s rho^-(2s+1) u g1_i grho2_ij
+          alpha2_ij = r (r-1)/2 rho^-s g2_ij - s rho^-(s+1) u grho2_ij
+                    + 2 s (s+1) rho^-(s+2) u grho1_i grho1_j
+                    - 2 r s rho^-(s+1) grho1_i g1_j
+        Each is summed term by term, in this order, into one buffer. e_a4_a1
+        averages over ordered pairs with alpha1 attached to the second
+        argument, from the column sums of alpha4; e_a1a1a2 sums
+        alpha1_i alpha1_j alpha2_ij over all m^2 cells. `grm2` (the grho2
+        rows) and `rows` (rows lo:hi of A @ A, or None) are shared with the
+        other motifs.
+        """
+        g, motif, ps, rp = self.g, self.motif, self.ps, self.rp
+        r, s, u_hat = motif.r, motif.s, self.u_hat
+        try:
+            gm2 = g2_matrix(g, motif, ps, lo, hi, _census=self.census, _rows=rows)
+            g1_i, grho1_i = ps.g1[..., lo:hi, None], ps.grho1[..., lo:hi, None]
 
-                np.multiply(gm2, 0.5 * r * (r - 1) * rp[s], out=acc)
-                np.multiply(grm2, s * rp[s + 1] * u_hat, out=term)
-                acc -= term
-                np.multiply(grho1_i, grho1, out=term)
-                term *= 2.0 * s * (s + 1) * rp[s + 2] * u_hat
-                acc += term
-                np.multiply(grho1_i, g1, out=term)
-                term *= 2.0 * r * s * rp[s + 1]
-                acc -= term
-                _zero_diagonal(acc, lo)  # acc = alpha2
-                np.multiply(alpha1_col[..., lo:hi, None], alpha1, out=term)
-                term *= acc
-                cells = slice(start - lo * m, stop - lo * m)
-                if stacked:
-                    return np.add.reduce(term.reshape(len(term), -1)[:, cells], axis=-1)
-                return float(np.add.reduce(term.reshape(-1)[cells]))
-
-            pairs = m * (m - 1)
-            e_a1a1a2 = _pairwise_sum(0, m * m, leaf_sum) / pairs
-            if stacked:  # one dot per graph: a stacked einsum does not keep its bits
-                e_a4_a1 = [float(c @ a) / pairs for c, a in zip(colsum, alpha1[:, 0])]
+            acc = np.multiply(g1_i, gm2)
+            acc *= 2.0 * r * r * (r - 1) * rp[2 * s]
+            term = np.multiply(grho1_i, grm2)
+            term *= 8.0 * s * s * rp[2 * s + 2] * u_hat * u_hat
+            acc += term
+            np.multiply(grho1_i, gm2, out=term)
+            term *= 4.0 * r * (r - 1) * s * rp[2 * s + 1] * u_hat
+            acc -= term
+            np.multiply(g1_i, grm2, out=term)
+            term *= 4.0 * r * s * rp[2 * s + 1] * u_hat
+            acc -= term
+            _zero_diagonal(acc, lo)  # acc = alpha4
+            # numpy's sum over the row axis adds one row at a time, so
+            # adding each new row in turn keeps its bits; a row shared
+            # with the previous leaf is already in
+            if self.colsum is None:
+                self.colsum = np.add.reduce(acc, axis=-2)
             else:
-                e_a4_a1 = [float(colsum @ alpha1) / pairs]
+                for row in range(self.done - lo, hi - lo):
+                    self.colsum += acc[..., row, :]
+            self.done = hi
+
+            np.multiply(gm2, 0.5 * r * (r - 1) * rp[s], out=acc)
+            np.multiply(grm2, s * rp[s + 1] * u_hat, out=term)
+            acc -= term
+            np.multiply(grho1_i, self.grho1, out=term)
+            term *= 2.0 * s * (s + 1) * rp[s + 2] * u_hat
+            acc += term
+            np.multiply(grho1_i, self.g1, out=term)
+            term *= 2.0 * r * s * rp[s + 1]
+            acc -= term
+            _zero_diagonal(acc, lo)  # acc = alpha2
+            np.multiply(self.alpha1_col[..., lo:hi, None], self.alpha1, out=term)
+            term *= acc
+            if self.stacked:
+                return np.add.reduce(term.reshape(len(term), -1)[:, cells], axis=-1)
+            return np.add.reduce(term.reshape(-1)[cells])
+        except (FloatingPointError, OverflowError) as exc:  # under _summaries' errstate
+            raise self.too_extreme(exc) from exc
+
+    def summaries(self, pair_sum, network_ids: list) -> list:
+        """The motif's summaries, one per graph, from the sum of its leaf sums."""
+        motif, ps, alpha1 = self.motif, self.ps, self.alpha1
+        m = ps.m
+        pairs = m * (m - 1)
+        try:
+            # a graph's sum as a Python float, as the leaves summed alone give it
+            e_a1a1a2 = (pair_sum if self.stacked else float(pair_sum)) / pairs
+            if self.stacked:  # one dot per graph: a stacked einsum does not keep its bits
+                e_a4_a1 = [float(c @ a) / pairs for c, a in zip(self.colsum, alpha1[:, 0])]
+            else:
+                e_a4_a1 = [float(self.colsum @ alpha1) / pairs]
 
             e_a1_cubed = _mean(alpha1 ** 3)
-            e_a1_a3 = _mean(alpha1 * alpha3)
+            e_a1_a3 = _mean(alpha1 * self.alpha3)
             xi_alpha1_sq = _mean(alpha1 * alpha1)
             # alpha1 is a difference of two terms; when they cancel exactly
             # (edge motif: the scaled moment is the constant 1) the residual
             # variance is pure floating-point noise, so snap it to zero and
             # let the pairwise degeneracy gate reject the summary cleanly
-            cancel_floor = 1e-26 * (_mean(a1_moment ** 2) + _mean(a1_density ** 2))
-        except (FloatingPointError, OverflowError) as exc:
-            raise DegenerateGraphError(
-                f"sparsity too extreme for motif {motif.name}: {exc}"
-            ) from exc
+            cancel_floor = 1e-26 * (_mean(self.a1_moment ** 2) + _mean(self.a1_density ** 2))
+        except (FloatingPointError, OverflowError) as exc:  # under _summaries' errstate
+            raise self.too_extreme(exc) from exc
 
-    fields = (rho, ps.u_hat, alpha0, xi_g, xi_alpha1_sq, cancel_floor, e_a1_cubed, e_a1_a3,
-              e_a1a1a2)
-    # Python floats, one row per graph
-    rows = zip(*(np.ravel(x).tolist() for x in fields)) if stacked else [fields]
-    summaries = []
-    for nid, row, a4a1 in zip(network_ids, rows, e_a4_a1):
-        rho_b, u_b, a0, xg, xa, floor, cubed, a1a3, a1a1a2 = row
-        summary = NetworkSummary(
-            network_id=nid,
-            n=m,
-            motif_name=motif.name,
-            motif_r=r,
-            motif_s=s,
-            rho_hat=rho_b,
-            u_hat=u_b,
-            alpha0_hat=a0,
-            xi_g1_sq=xg,
-            xi_alpha1_sq=0.0 if xa <= floor else xa,
-            e_a1_cubed=cubed,
-            e_a1_a3=a1a3,
-            e_a4_a1=a4a1,
-            e_a1a1a2=a1a1a2,
-        )
-        summary.validate()
-        summaries.append(summary)
-    return summaries
+        fields = (ps.rho_hat, ps.u_hat, self.alpha0, ps.xi_A1_sq, xi_alpha1_sq, cancel_floor,
+                  e_a1_cubed, e_a1_a3, e_a1a1a2)
+        # Python floats, one row per graph
+        rows = zip(*(np.ravel(x).tolist() for x in fields)) if self.stacked else [fields]
+        summaries = []
+        for nid, row, a4a1 in zip(network_ids, rows, e_a4_a1):
+            rho_b, u_b, a0, xg, xa, floor, cubed, a1a3, a1a1a2 = row
+            summary = NetworkSummary(
+                network_id=nid,
+                n=m,
+                motif_name=motif.name,
+                motif_r=motif.r,
+                motif_s=motif.s,
+                rho_hat=rho_b,
+                u_hat=u_b,
+                alpha0_hat=a0,
+                xi_g1_sq=xg,
+                xi_alpha1_sq=0.0 if xa <= floor else xa,
+                e_a1_cubed=cubed,
+                e_a1_a3=a1a3,
+                e_a4_a1=a4a1,
+                e_a1a1a2=a1a1a2,
+            )
+            summary.validate()
+            summaries.append(summary)
+        return summaries
 
 
 def combine(sa: NetworkSummary, sb: NetworkSummary) -> EdgeworthCoeffs:

@@ -178,7 +178,7 @@ _MAX_DIGITS = 18  # 10**18 - 1 < 2**63, so a longer run may not fit int64
 
 
 def _split_plain_lines(data: bytes):
-    """Find the lines of `data` and parse its plain lines with array code.
+    """Find the lines of `data` and parse its plain lines in one pass.
 
     Lines end at "\n", "\r\n" or a lone "\r", as in a text-mode read. A
     plain line holds exactly two runs of at most 18 ASCII digits and nothing
@@ -209,15 +209,17 @@ def _split_plain_lines(data: bytes):
     odd[run_line[run_len > _MAX_DIGITS]] = True
     plain = (runs == 2) & ~odd
 
-    ids = np.zeros(run_start.size, dtype=np.int64)
-    for k in range(min(int(run_len.max(initial=0)), _MAX_DIGITS)):  # Horner
-        more = run_len > k
-        digit = buf[np.minimum(run_start + k, n - 1)] - ord("0")
-        np.multiply(ids, 10, out=ids, where=more)
-        np.add(ids, digit, out=ids, where=more)
     keep = plain[run_line]
     other = np.flatnonzero(~plain & ((runs > 0) | odd))
-    return ids[keep].reshape(-1, 2), run_line[keep][::2], line_start, line_end, other
+    ids = np.zeros(0, dtype=np.int64)
+    if keep.any():  # np.fromstring reads a text of blanks alone as [0]
+        # a plain line holds blanks and two runs of at most 18 digits, which
+        # fit int64: blank the other lines, and one parse reads every id
+        text = bytearray(data)
+        for i in other.tolist():
+            text[line_start[i]:line_end[i]] = b" " * int(line_end[i] - line_start[i])
+        ids = np.fromstring(bytes(text), dtype=np.int64, sep=" ")
+    return ids.reshape(-1, 2), run_line[keep][::2], line_start, line_end, other
 
 
 def _adjacency(m: int, *edge_blocks) -> np.ndarray:

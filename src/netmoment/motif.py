@@ -138,6 +138,11 @@ def contains_motif(sub: np.ndarray, motif: Motif) -> int:
 # A node-pass block holds at most this many pairs of A @ A; a graph with
 # m * m <= _BLOCK keeps its whole product, so its passes share one product.
 _BLOCK = 1 << 16
+# The half product multiplies blocks of at most this many pairs: thinner
+# blocks run float32 sgemm below its speed. At m = 1000 (2 vCPUs, one BLAS
+# thread) blocks of 65 rows took 22 ms, as long as the full product, 130 rows
+# 13-19 ms and 200-500 rows 12-12.5 ms, against 17-23 ms for the full one.
+_HALF_BLOCK = 1 << 18
 # Rows of A @ A come from CSR when sum_k d_k^2 < m^3 / _SPARSE_RATIO and from
 # float32 BLAS otherwise. On random graphs (2 vCPUs, one BLAS thread) the two
 # cost the same near sum d^2 / m^3 = 0.0025 at m = 1000 and 0.003 at m = 1600
@@ -149,23 +154,38 @@ class _TwoWalks:
     """Exact rows of A @ A, and the per-node counts read off every row once.
 
     Entry (i, j) of A @ A counts the walks i - k - j: the common neighbours
-    of i and j off the diagonal, the degree on it. Both methods give exact
+    of i and j off the diagonal, the degree on it. Every path gives exact
     integers: CSR expands each row's walks with `repeat` and counts them with
     `bincount` (sum_k d_k^2 work in all), and float32 BLAS multiplies 0/1
-    values whose partial sums stay below m < 2^24. Rows come back as float64.
-    The float32 copy of the adjacency, and the CSR path's walk and row
-    buffers, live from a pass's first block to its last, which ends at row
-    m; a sparse block of rows is a view of the row buffer, valid until the
-    next call.
+    values whose partial sums stay below m < 2^24.
 
-    A GraphStack takes the dense path: one batched `matmul` multiplies every
-    member, and each array has the stack's batch axis leading. Its members
-    build no pass of their own.
+    The node pass reads the rows a block at a time: `tri_per_node` is the
+    per-row sum of A @ A * A over two, the triangles through each node, and
+    `cherry_ends` is A @ (d - 1), the per-row sum of A @ A minus the degree.
+    Both are exact integers. The rows come one of three ways:
 
-    The node pass reduces the rows in blocks of at most _BLOCK pairs:
-    `tri_per_node` is the per-row sum of A @ A * A over two, the triangles
-    through each node, and `cherry_ends` is A @ (d - 1), the per-row sum of
-    A @ A minus the degree. Both are exact integers.
+    - *Whole* (m^2 <= _BLOCK): one float32 product, kept as float64 for the
+      life of the graph. A GraphStack takes this path, or the half product:
+      one batched `matmul` multiplies every member, and each array has the
+      stack's batch axis leading. Its members build no pass of their own.
+    - *CSR* (a larger single graph whose squared degrees sum to less than
+      m^3 / _SPARSE_RATIO): float64 rows, in blocks of at most _BLOCK pairs.
+      The walk and row buffers live from a pass's first block to its last,
+      which ends at row m; a block of rows is a view of the row buffer,
+      valid until the next call.
+    - *Half product* (any other larger graph): block lo:hi, of at most
+      _HALF_BLOCK pairs, multiplies A[lo:hi] @ A[lo:].T, which is columns
+      lo: of its rows of A @ A; all the blocks take about m^3 / 2 flops,
+      half of the full product. No later block reads rows lo:hi of the
+      float32 copy of A again, so the block is written over them, and their
+      columns :lo are copied from the rows above, by symmetry. After the
+      node pass that one m^2 float32 array (4 bytes a pair) holds A @ A: the
+      store. `counts` gives float32 views of it (`rows` float64 copies), and
+      the read that ends at row m, the last leaf of the summaries' walk,
+      releases it; a later read builds it again. After a summary call the
+      pass thus holds only its two per-node arrays, unless no motif that
+      reads A @ A got as far as the leaves: then the store stays until the
+      graph is dropped.
     """
 
     def __init__(self, g: Graph | GraphStack, sparse: bool):
@@ -173,7 +193,7 @@ class _TwoWalks:
         self._adj, self._m = adj, m
         self._sparse = sparse
         self._full = None
-        self._a32 = None
+        self._store = None  # the half product's float32 A @ A
         self._walk = self._iota = None  # positions and cells of a block's walks
         self._out = None  # float64 rows of a block
         if sparse:
@@ -183,27 +203,52 @@ class _TwoWalks:
         tri2 = np.empty(g.degrees.shape)
         walks = np.empty(g.degrees.shape)
         step = max(1, _BLOCK // m)
-        for lo in range(0, m, step):
-            hi = min(lo + step, m)
-            n2 = self.rows(lo, hi)
-            tri2[..., lo:hi] = (n2 * adj[..., lo:hi, :]).sum(axis=-1)
-            walks[..., lo:hi] = n2.sum(axis=-1)
+        if sparse:
+            blocks = ((lo, self.counts(lo, min(lo + step, m))) for lo in range(0, m, step))
+        elif step < m:  # read the store as it is: `counts` would release it at row m
+            blocks = ((lo, self._store[..., lo:hi, :]) for lo, hi in self._half_product())
+        else:
+            a32 = adj.astype(np.float32)
+            blocks = [(0, (a32 @ a32).astype(np.float64))]
+        for lo, n2 in blocks:
+            hi = lo + n2.shape[-2]
+            # exact in float32 too (at most m), and summed exactly in float64
+            tri2[..., lo:hi] = (n2 * adj[..., lo:hi, :]).sum(axis=-1, dtype=np.float64)
+            walks[..., lo:hi] = n2.sum(axis=-1, dtype=np.float64)
         if step >= m:
             n2.setflags(write=False)
             self._full = n2
         self.tri_per_node = tri2 / 2.0
         self.cherry_ends = walks - g.degrees
 
+    def _half_product(self):
+        """Build the store, A @ A in the float32 copy of A, a block of rows
+        at a time; yield each block's rows lo, hi once they are whole."""
+        m = self._m
+        step = max(1, _HALF_BLOCK // m)
+        a = self._store = self._adj.astype(np.float32)
+        for lo in range(0, m, step):
+            hi = min(lo + step, m)
+            a[..., lo:hi, lo:] = a[..., lo:hi, :] @ a[..., lo:, :].swapaxes(-1, -2)
+            a[..., lo:hi, :lo] = a[..., :lo, lo:hi].swapaxes(-1, -2)
+            yield lo, hi
+
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """Rows lo:hi of A @ A as float64; read-only when cached."""
+        return self.counts(lo, hi).astype(np.float64, copy=False)
+
+    def counts(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo:hi of A @ A as they are held: float64, or a float32 view
+        of the half product's store; read-only when cached."""
         if self._full is not None:
             return self._full[..., lo:hi, :]
         if not self._sparse:
-            if self._a32 is None:
-                self._a32 = self._adj.astype(np.float32)
-            n2 = (self._a32[..., lo:hi, :] @ self._a32).astype(np.float64)
+            if self._store is None:
+                for _ in self._half_product():
+                    pass
+            n2 = self._store[..., lo:hi, :]
             if hi == self._m:  # every pass ends with the last row
-                self._a32 = None
+                self._store = None
             return n2
         m, start, nbr = self._m, self._start, self._nbr
         mid = nbr[start[lo]:start[hi]]  # k of every walk i - k - j, by row
@@ -240,6 +285,12 @@ def _two_walks(g: Graph | GraphStack) -> _TwoWalks:
         sparse = d.ndim == 1 and int(d @ d) * _SPARSE_RATIO < g.m ** 3
         g._two_walks = _TwoWalks(g, sparse)
     return g._two_walks
+
+
+def _reads_two_walks(motif: Motif) -> bool:
+    """Whether the motif's census and pair rows read A @ A: the r = 3 closed
+    forms, vshape and triangle."""
+    return (motif.r, motif.s) in ((3, 2), (3, 3))
 
 
 def _zero_diagonal(block: np.ndarray, lo: int) -> None:
@@ -287,7 +338,7 @@ def moment_census(g: Graph | GraphStack, motif: Motif, want_pairs: bool = False)
     if motif.r == 2:  # edge
         u_hat = density(g)
         node_avgs = g.degrees / float(m - 1)
-    elif shape in ((3, 2), (3, 3)):
+    elif _reads_two_walks(motif):
         walks = _two_walks(g)
         tri_per_node = walks.tri_per_node
         tri_total = np.add.reduce(tri_per_node, axis=-1) / 3.0
@@ -315,18 +366,24 @@ def moment_census(g: Graph | GraphStack, motif: Motif, want_pairs: bool = False)
     return MomentCensus(u_hat=u_hat, node_avgs=node_avgs, pair_avgs=pair_avgs)
 
 
-def pair_avg_rows(g: Graph | GraphStack, motif: Motif, lo: int, hi: int) -> np.ndarray:
-    """Rows lo:hi of the pair-restricted averages, diagonal zeroed."""
+def pair_avg_rows(g: Graph | GraphStack, motif: Motif, lo: int, hi: int,
+                  _rows: np.ndarray | None = None) -> np.ndarray:
+    """Rows lo:hi of the pair-restricted averages, diagonal zeroed.
+
+    The r = 3 closed forms read rows lo:hi of A @ A from `_rows` when given
+    (so that several motifs share them), else from the node pass.
+    """
     pair_denom = comb(g.m - 2, motif.r - 2)
     shape = (motif.r, motif.s)
     adj = g.adj[..., lo:hi, :]
+    if _reads_two_walks(motif):  # exact counts, float32 or float64
+        n2 = _two_walks(g).counts(lo, hi) if _rows is None else _rows
     if motif.r == 2:  # edge
         out = adj.astype(np.float64)
     elif shape == (3, 3):  # triangle: the common neighbours of an edge
-        out = _two_walks(g).rows(lo, hi) * adj
+        out = np.multiply(n2, adj, dtype=np.float64)
         out /= pair_denom
     elif shape == (3, 2):  # vshape: d_i + d_j - 2 - n2 on an edge, n2 off it
-        n2 = _two_walks(g).rows(lo, hi)
         d = g.degrees.astype(np.float64)
         out = d[..., lo:hi, None] + d[..., None, :] - 2.0 - n2
         np.copyto(out, n2, where=~adj)

@@ -103,17 +103,18 @@ def project(g: Graph | GraphStack, motif: Motif,
 def g2_matrix(
     g: Graph | GraphStack, motif: Motif, ps: ProjectionSet, lo: int = 0,
     hi: int | None = None, _census: MomentCensus | None = None,
+    _rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """Rows lo:hi (default all) of the g2 values, diagonal zeroed.
 
     The pair averages are read from `_census` when it holds them, else built
-    for these rows only.
+    for these rows only, from the rows of A @ A in `_rows` when given.
     """
     hi = g.m if hi is None else hi
     if _census is not None and _census.pair_avgs is not None:
         pair_avgs = _census.pair_avgs[..., lo:hi, :]
     else:
-        pair_avgs = pair_avg_rows(g, motif, lo, hi)
+        pair_avgs = pair_avg_rows(g, motif, lo, hi, _rows)
     # pair_avgs - (g1_i + g1_j) - u_hat, evaluated in one buffer
     out = np.add(ps.g1[..., lo:hi, None], ps.g1[..., None, :])
     np.subtract(pair_avgs, out, out=out)

@@ -99,8 +99,10 @@ class Graphon:
     def f(self, u, v):
         return self.tau * self.raw(u, v)
 
+    @lru_cache(maxsize=64)
     def max_value(self, grid: int = 512) -> float:
-        """Grid-search upper envelope of f, used for clamp warnings."""
+        """Grid-search upper envelope of f, used for clamp warnings; computed
+        once per graphon and grid."""
         x = np.linspace(0.0, 1.0, grid)
         return float(np.max(self.f(x[:, None], x[None, :])))
 
@@ -159,10 +161,15 @@ def builtin_graphon(name: str) -> Graphon:
     return table[key]
 
 
+@lru_cache(maxsize=16)
 def gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights transplanted to [0, 1]."""
+    """Gauss-Legendre nodes and weights transplanted to [0, 1], computed once
+    per order and returned read-only."""
     t, w = np.polynomial.legendre.leggauss(order)
-    return (t + 1.0) / 2.0, w / 2.0
+    nodes = ((t + 1.0) / 2.0, w / 2.0)
+    for a in nodes:
+        a.setflags(write=False)
+    return nodes
 
 
 def normalization_integral(graphon: Graphon, order: int | None = None) -> float:

@@ -281,7 +281,7 @@ def test_query_never_touches_adjacency_after_hashing(capsys, tmp_path, two_files
     import netmoment.projections as projections
 
     state = {"hashing_done": False, "loads": 0}
-    real_summarize = hashdb.summarize
+    real_summaries = hashdb._summaries
     real_census = edgeworth.moment_census
     real_load = cli.load_edge_list
 
@@ -289,10 +289,10 @@ def test_query_never_touches_adjacency_after_hashing(capsys, tmp_path, two_files
         state["loads"] += 1
         return real_load(path, indexing=indexing)
 
-    def traced_summarize(g, motif, network_id=""):
+    def traced_summaries(g, motifs, network_ids):
         if state["hashing_done"]:
-            raise AssertionError("summarize called after hashing finished")
-        return real_summarize(g, motif, network_id=network_id)
+            raise AssertionError("summary kernel called after hashing finished")
+        return real_summaries(g, motifs, network_ids)
 
     def traced_census(g, motif, want_pairs=False):
         if state["hashing_done"]:
@@ -308,7 +308,7 @@ def test_query_never_touches_adjacency_after_hashing(capsys, tmp_path, two_files
 
     monkeypatch.setattr(cli, "load_edge_list", counting_load)
     monkeypatch.setattr(cli, "hash_network", traced_hash)
-    monkeypatch.setattr(hashdb, "summarize", traced_summarize)
+    monkeypatch.setattr(hashdb, "_summaries", traced_summaries)
     monkeypatch.setattr(edgeworth, "moment_census", traced_census)
     monkeypatch.setattr(projections, "moment_census", traced_census)
 

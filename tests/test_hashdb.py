@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import netmoment as nm
 import netmoment.cli as cli
+from netmoment import edgeworth
 from netmoment import motif as nm_motif
 from netmoment.edgeworth import SUMMARY_FIELDS
 from netmoment.hashdb import (
@@ -19,8 +21,10 @@ from netmoment.hashdb import (
     record_to_json,
 )
 from netmoment.rng import spawn_rng
+from netmoment.sim.graphons import builtin_graphon, sample_network
 
 from conftest import random_graph
+from oracles import frozen_summary
 
 
 def test_hash_p3_edge(p3):
@@ -30,30 +34,44 @@ def test_hash_p3_edge(p3):
     assert rec.summaries["edge"].rho_hat == pytest.approx(2 / 3)
 
 
-def test_hash_network_runs_the_node_pass_once(monkeypatch):
-    # m * m > 2^16, so the product is not kept whole and each row range counts
-    adj = random_graph(300, 0.05, spawn_rng(4, "node-pass")).adj
+def assert_one_node_pass(rho, monkeypatch):
+    """hash_network runs the node pass once and builds each leaf's rows of
+    A @ A once for all its motifs. m * m > 2^16, so the product is not kept
+    whole and each leaf reads its own rows."""
+    m = 300
+    adj = random_graph(m, rho, spawn_rng(4, "node-pass")).adj
+    leaves = []
+    edgeworth._pairwise_sum(0, m * m, lambda a, b: leaves.append((a // m, -(-b // m))) or 0.0)
+    assert len(leaves) == 2
     calls = []
-    rows = nm_motif._TwoWalks.rows
+    init, counts = nm_motif._TwoWalks.__init__, nm_motif._TwoWalks.counts
 
-    def counted(self, lo, hi):
+    def counted_init(self, g, sparse):
+        calls.append("node pass")
+        init(self, g, sparse)
+
+    def counted_counts(self, lo, hi):
         calls.append((lo, hi))
-        return rows(self, lo, hi)
+        return counts(self, lo, hi)
 
-    def product_calls(fn, *args):
-        calls.clear()
-        fn(*args)
-        return list(calls)
-
-    monkeypatch.setattr(nm_motif._TwoWalks, "rows", counted)
+    monkeypatch.setattr(nm_motif._TwoWalks, "__init__", counted_init)
+    monkeypatch.setattr(nm_motif._TwoWalks, "counts", counted_counts)
     g = nm.Graph(adj)
-    first = product_calls(nm.summarize, g, nm.TRIANGLE)
-    second = product_calls(nm.summarize, g, nm.VSHAPE)
-    node_pass = first[:len(first) - len(second)]
-    assert node_pass[0][0] == 0 and node_pass[-1][1] == 300
-    assert first[len(node_pass):] == second  # the same leaves for each motif
-    both = product_calls(nm.hash_network, nm.Graph(adj), [nm.TRIANGLE, nm.VSHAPE], "x")
-    assert both == node_pass + second + second
+    nm.hash_network(g, [nm.TRIANGLE, nm.EDGE, nm.VSHAPE], "x")
+    sparse = g._two_walks._sparse
+    assert sparse == (rho < 0.03)
+    step = nm_motif._BLOCK // m
+    blocks = [(lo, min(lo + step, m)) for lo in range(0, m, step)] if sparse else []
+    assert calls == ["node pass", *blocks, *leaves]
+    assert g._two_walks._store is None  # the leaf walk ended at row m
+
+
+def test_hash_network_runs_the_node_pass_once(monkeypatch):
+    assert_one_node_pass(0.05, monkeypatch)  # the half product's store
+
+
+def test_hash_network_builds_each_leafs_csr_rows_once(monkeypatch):
+    assert_one_node_pass(0.02, monkeypatch)
 
 
 def test_hash_multi_motif_and_partial_failure(p3):
@@ -67,6 +85,81 @@ def test_hash_multi_motif_and_partial_failure(p3):
         nm.hash_network(p3, [], "p3")
     with pytest.raises(ValueError):
         nm.hash_network(p3, [nm.EDGE, nm.EDGE], "p3")
+
+
+def hash_warnings(caplog, g, motifs, network_id):
+    """hash_network's record and the texts of the warnings it logged."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="netmoment.hashdb"):
+        rec = nm.hash_network(g, motifs, network_id)
+    return rec, [r.getMessage() for r in caplog.records]
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e200])  # overflows in the leaf walk, in the node terms
+def test_a_failing_motif_is_dropped_alone(scale, caplog, monkeypatch):
+    # m = 300 spans two leaves, so the other motifs go on through the second
+    g = random_graph(300, 0.3, spawn_rng(5, "poison"))
+    want = {name: {f: float(v).hex() for f, v in frozen_summary(g, name).items()}
+            for name in ("edge", "vshape")}
+    real_project = edgeworth.project
+
+    def poisoned(g, motif, _census=None):
+        ps = real_project(g, motif, _census=_census)
+        return dataclasses.replace(ps, g1=ps.g1 * scale) if motif is nm.TRIANGLE else ps
+
+    monkeypatch.setattr(edgeworth, "project", poisoned)
+    with pytest.raises(nm.DegenerateGraphError) as alone:
+        nm.summarize(g, nm.TRIANGLE)
+    assert str(alone.value) == ("sparsity too extreme for motif triangle: "
+                                "overflow encountered in multiply")
+    for motifs in ([nm.EDGE, nm.TRIANGLE, nm.VSHAPE], [nm.TRIANGLE, nm.VSHAPE, nm.EDGE]):
+        rec, logged = hash_warnings(caplog, g, motifs, "x")
+        assert logged == [f"hash x: motif triangle skipped: {alone.value}"]
+        assert rec.motifs() == ["edge", "vshape"]
+        for name, summary in rec.summaries.items():
+            assert {f: float(getattr(summary, f)).hex() for f in SUMMARY_FIELDS} == want[name]
+
+
+def test_motifs_fail_and_warn_in_motif_order(p3, k4, empty5, caplog):
+    small = "m=3 too small for motif r=3"
+    rec, logged = hash_warnings(caplog, p3, [nm.TRIANGLE, nm.EDGE, nm.VSHAPE], "p3")
+    assert rec.motifs() == ["edge"]
+    assert logged == [f"hash p3: motif triangle skipped: {small}",
+                      f"hash p3: motif vshape skipped: {small}"]
+    complete = "degenerate sparsity: complete graph (rho_hat = 1)"
+    empty = "degenerate sparsity: empty graph (rho_hat = 0)"
+    for g, motifs, failures in [
+        (k4, [nm.VSHAPE, nm.EDGE], {"vshape": complete, "edge": complete}),
+        (k4, [nm.EDGE, nm.VSHAPE], {"edge": complete, "vshape": complete}),
+        (empty5, [nm.TRIANGLE, nm.EDGE], {"triangle": empty, "edge": empty}),
+        (p3, [nm.VSHAPE, nm.TRIANGLE], {"vshape": small, "triangle": small}),
+    ]:
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="netmoment.hashdb"):
+            with pytest.raises(ValueError) as refused:
+                nm.hash_network(g, motifs, "g")
+        assert str(refused.value) == f"all motifs failed for 'g': {failures}"
+        assert [r.getMessage() for r in caplog.records] == [
+            f"hash g: motif {name} skipped: {why}" for name, why in failures.items()]
+
+
+@pytest.mark.parametrize("key, graphon, rho, m, parent_peak_mib", [
+    ("hash-dense", "SmoothGraphon-1", 0.25, 1000, 5.95),  # the half product's store
+    ("hash-sparse", "SmoothGraphon-3", 0.02, 1500, 3.18),  # CSR rows
+])
+def test_hash_network_traced_peak(key, graphon, rho, m, parent_peak_mib):
+    # the first graph of each hash benchmark at seed 1; before one leaf walk
+    # served every motif, triangle and vshape peaked at the given figures
+    # (numpy 2.4), and the shared walk may add at most 1 MiB
+    rng = spawn_rng(1, "perfbench", key, 0)
+    g = sample_network(builtin_graphon(graphon), rho, m, rng).graph
+    tracemalloc.start()
+    try:
+        nm.hash_network(g, [nm.TRIANGLE, nm.VSHAPE], "x")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (parent_peak_mib + 1.0) * 2**20
 
 
 def test_hash_permutation_invariant():

@@ -210,6 +210,37 @@ def test_two_walk_rows_are_exact(m, sparse, monkeypatch):
             assert np.array_equal(rows, want[lo:hi])
 
 
+@pytest.mark.parametrize("half_block", [None, 1 << 12])
+@pytest.mark.parametrize("m", [700, 701])
+def test_half_product_store_holds_exact_counts(m, half_block, monkeypatch):
+    # 2 blocks (374 and 373 rows at m = 700 and 701), or 140 of 5 rows; the
+    # store is read as the summaries' leaf walk reads it, then released
+    if half_block is not None:
+        monkeypatch.setattr(nm_motif, "_HALF_BLOCK", half_block)
+    rng = spawn_rng(m, "half-product")
+    adj = random_graph(m, 0.3, rng).adj.copy()
+    lone = rng.random(m) < 0.1  # isolated nodes give empty rows and columns
+    adj[lone] = False
+    adj[:, lone] = False
+    g = nm.Graph(adj)
+    want = adj.astype(np.int64) @ adj
+    walks = nm_motif._TwoWalks(g, sparse=False)
+    assert nm_motif._HALF_BLOCK // m < m  # more than one block
+    assert np.array_equal(walks.tri_per_node * 2, (want * adj).sum(axis=1))
+    assert np.array_equal(walks.cherry_ends, adj @ (g.degrees - 1))
+    leaves = []
+    edgeworth._pairwise_sum(0, m * m, lambda a, b: leaves.append((a // m, -(-b // m))) or 0.0)
+    assert len(leaves) > 4 and leaves[-1][1] == m
+    for lo, hi in leaves:
+        assert walks._store is not None
+        counts = walks.counts(lo, hi)
+        assert counts.dtype == np.float32
+        assert np.array_equal(counts, want[lo:hi])
+    assert walks._store is None  # released by the read that ended at row m
+    rows = walks.rows(3, 11)  # built again on demand
+    assert rows.dtype == np.float64 and np.array_equal(rows, want[3:11])
+
+
 @pytest.mark.parametrize("b", [1, 3, 40])
 @pytest.mark.parametrize("m", [4, 20, 90])
 def test_stacked_node_pass_matches_each_members_own(m, b, monkeypatch):

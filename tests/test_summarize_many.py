@@ -256,3 +256,68 @@ def test_coverage_chunk_bootstrap_matches_frozen_chunk():
     assert got[0] == want[0] and got[2:] == want[2:]
     assert {k: float(v).hex() for k, v in got[1].items()} == {
         k: float(v).hex() for k, v in want[1].items()}
+
+
+C4 = motif_from_spec({"name": "c4", "pattern": [[0, 1, 0, 1], [1, 0, 1, 0],
+                                                [0, 1, 0, 1], [1, 0, 1, 0]]})
+
+
+def reference_hex(g, motif):
+    """The frozen oracle's bits for a built-in motif, `summarize`'s for c4,
+    or the message of the error `summarize` raises."""
+    if motif.name in ("edge", "vshape", "triangle") and 0 < g.edge_count < g.m * (g.m - 1) // 2:
+        return field_hex(frozen_summary(g, motif.name))
+    want = solo(g, motif)
+    return str(want) if isinstance(want, Exception) else summary_hex(want)
+
+
+def result_hex(result):
+    return str(result) if isinstance(result, Exception) else summary_hex(result)
+
+
+@pytest.mark.parametrize("m, rho", [(300, 0.25), (700, 0.25), (1200, 0.25), (700, 0.02)])
+def test_one_leaf_walk_for_every_motif_matches_frozen_summary(m, rho):
+    # the dense graphs read one, two and six blocks of the half product's
+    # store; the sparse one builds each leaf's CSR rows once for all motifs
+    g = random_graph(m, rho, spawn_rng(m, "multi-motif", str(rho)))
+    motifs = [nm.VSHAPE, nm.EDGE, nm.TRIANGLE]
+    results = edgeworth._summaries(g, motifs, ["g"])
+    for motif, result in zip(motifs, results):
+        assert result[0].network_id == "g"
+        assert summary_hex(result[0]) == field_hex(frozen_summary(g, motif.name)), motif.name
+    assert nm_motif._two_walks(g)._sparse == (rho < 0.1)
+
+
+@pytest.mark.parametrize("leaf", [128, 1 << 16])
+@pytest.mark.parametrize("m", [4, 9, 12])
+def test_one_call_with_a_custom_motif_matches_each_motif_alone(m, leaf, monkeypatch):
+    # c4 takes the subset census; leaves of 128 cells split these graphs
+    # as 2^16 splits large ones
+    monkeypatch.setattr(edgeworth, "_LEAF", leaf)
+    for seed in range(3):
+        g = random_graph(m, 0.5, spawn_rng(seed, "multi-custom", m))
+        for motifs in ([C4, nm.EDGE, nm.VSHAPE, nm.TRIANGLE], [nm.TRIANGLE, C4, nm.EDGE]):
+            results = edgeworth._summaries(g, motifs, [""])
+            for motif, result in zip(motifs, results):
+                got = result if isinstance(result, Exception) else result[0]
+                assert result_hex(got) == reference_hex(g, motif), (seed, motif.name)
+
+
+def test_stacks_take_every_motif_in_one_call(monkeypatch):
+    # stacks of mixed members (empty and complete ones go alone) and a
+    # custom motif beside the closed forms
+    graphs = mixed_group(9, ["random"] * 5 + ["empty", "random", "complete"], seed=7)
+    motifs = [nm.TRIANGLE, C4, nm.EDGE, nm.VSHAPE]
+    calls = []
+    kernel = edgeworth._summaries
+
+    def counted(g, motifs, network_ids):
+        calls.append((type(g).__name__, [mo.name for mo in motifs]))
+        return kernel(g, motifs, network_ids)
+
+    monkeypatch.setattr(edgeworth, "_summaries", counted)
+    got = summarize_many(graphs, motifs)
+    assert calls[0] == ("GraphStack", ["triangle", "c4", "edge", "vshape"])
+    assert calls[1:] == [("Graph", ["triangle", "c4", "edge", "vshape"])] * 2
+    for motif, results in zip(motifs, got):
+        assert [result_hex(r) for r in results] == [reference_hex(g, motif) for g in graphs]
