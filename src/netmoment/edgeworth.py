@@ -610,15 +610,24 @@ def _pair_sizes(m: int, n: int) -> tuple:
     return (m, n, m**2, n**2, m**3, n**3, m**2 * n, m * n**2)
 
 
-def _size_columns(m: int, ns: list[int]) -> tuple:
-    """`_pair_sizes(m, n)` for every n of ns, as float64 columns.
+def _size_columns(m: int, ns) -> tuple:
+    """`_pair_sizes(m, n)` for every n of ns (ints, or an integer array), as
+    float64 columns.
 
-    Each power is taken exactly in Python ints and rounded once to its
-    nearest double (inf if it has none), as a float divided by it would
-    round it: int64 powers overflow at n = 1e9, and a float64 product rounds
-    twice above n of about 9.5e7.
+    Each power is taken exactly and rounded once to its nearest double (inf
+    if it has none), as a float divided by it would round it: int64 powers
+    overflow at n = 1e9, and a float64 product rounds twice above n of about
+    9.5e7. So the powers are int64 only below 2^21, where a cube is exact;
+    other sizes take Python ints.
     """
+    if (getattr(ns, "dtype", None) == np.int64 and len(ns)
+            and -_EXACT_CUBE < min(m, ns.min()) and max(m, ns.max()) < _EXACT_CUBE):
+        return tuple(size.astype(np.float64) for size in _pair_sizes(np.full_like(ns, m), ns))
+    ns = np.asarray(ns, dtype=object).tolist()
     return tuple(map(_doubles, zip(*(_pair_sizes(m, n) for n in ns))))
+
+
+_EXACT_CUBE = 1 << 21
 
 
 def _doubles(ints) -> np.ndarray:

@@ -8,8 +8,9 @@ original network sizes and no adjacency access of any kind (the record types
 simply do not hold adjacency). Entries whose p-value clears the screening
 level are the candidate matches.
 
-A query scores the whole store in one pass over arrays. The entries'
-summaries become float64 columns; `rng.spawn_normals` gives every entry the
+A query scores the whole store in one pass over arrays. A loaded store
+already holds each motif's entries as float64 columns, sorted by id (one of
+records in memory builds them); `rng.spawn_normals` gives every entry the
 smoothing draw of its own (seed, "query-delta", id) stream, by numpy's
 seeding arithmetic over all ids and one reused PCG64; and
 `inference.two_sample_p_values` runs the pair formulas once over the
@@ -25,9 +26,11 @@ double. schema_version gates format evolution. A record is written through
 one fixed template, built from SUMMARY_FIELDS, that gives the bytes of
 `json.dumps` with sorted keys and no spaces, and appended with one `write`
 on a descriptor opened O_APPEND. In perfbench's query-store (3000 records,
-medians of ten runs on 2 vCPUs) appending costs 16.6 us per record, against
-30 us with `json.dumps` and a buffered file; loading costs 18.2 us, 7-9 us
-of it `json.loads`, against 18.9 us; querying costs 9.2 us.
+medians of ten runs on 2 vCPUs) appending costs 16.6-17.7 us per record,
+against 30 us with `json.dumps` and a buffered file. Loading (`storecols`)
+costs 12.5 us, against 18.8 us when each line built its `NetworkSummary`
+and `HashRecord`, and a query of the loaded columns 6.4 us, against 9.6 us
+when it gathered them from records.
 """
 
 from __future__ import annotations
@@ -96,20 +99,42 @@ class QueryHit:
     passed_screen: bool
 
 
-@dataclass
 class HashDb:
-    """In-memory view of a loaded database file."""
+    """A store in memory: its records, and each motif's entries as columns.
 
-    records: dict[str, HashRecord]
+    `db_load` gives a store whose columns are its data: `records` is built
+    from them on first access and then kept, for reading (a query reads the
+    columns, not the records). HashDb(records) is a store of those records,
+    and a query builds a motif's columns from them.
+    """
+
+    def __init__(self, records: dict[str, HashRecord] | None, _columns=None):
+        self._records = records
+        self._columns = _columns  # a loaded store's `storecols.Columns`
+
+    @property
+    def records(self) -> dict[str, HashRecord]:
+        if self._records is None:
+            self._records = self._columns.records()
+        return self._records
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._columns.ids if self._records is None else self._records)
 
     def with_motif(self, motif_name: str) -> list[HashRecord]:
         return [
             rec for _, rec in sorted(self.records.items())
             if motif_name in rec.summaries
         ]
+
+    def _entries(self, motif_name: str):
+        """The store's entries with a summary of the motif, as a
+        `storecols.Entries` in id order, or None if there are none."""
+        if self._columns is not None:
+            return self._columns.entries.get(motif_name)
+        from .storecols import entries_of
+
+        return entries_of(self.with_motif(motif_name), motif_name)
 
 
 def hash_network(g: Graph, motifs: list[Motif], network_id: str) -> HashRecord:
@@ -312,10 +337,10 @@ def _check_utf8(line: str) -> None:
 @contextmanager
 def _gc_paused():
     """The cyclic garbage collector off for the block, then as the caller had
-    it. The records a load builds, and the columns and hits a query builds,
-    form no reference cycles, but every full collection would walk all of
-    them: at 10^5 records a query took 1.9-2.4 s with the collector running
-    and 1.4-1.5 s with it paused (2 vCPUs)."""
+    it. The rows a load reads, the records built from them, and the hits a
+    query builds form no reference cycles, but every full collection would
+    walk all of them: at 10^5 records a query took 1.9-2.4 s with the
+    collector running and 1.4-1.5 s with it paused (2 vCPUs)."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -330,31 +355,16 @@ def db_load(path) -> HashDb:
 
     A bad line raises DbFormatError, except a final line without its newline:
     that is an append cut short, so it is skipped with a warning. A byte that
-    is not UTF-8 makes its line bad in the same way.
+    is not UTF-8 makes its line bad in the same way. A line raises for a
+    value out of its range before any later line raises. The store holds
+    each motif's entries as columns and builds its records on demand (see
+    `storecols`).
     """
-    records: dict[str, HashRecord] = {}
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh, _gc_paused():
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                if not line.isascii():
-                    _check_utf8(line)
-                record = record_from_json(line)
-            except DbFormatError as exc:
-                # only the last line of a file can lack its newline
-                if not line.endswith("\n"):
-                    logger.warning("%s: line %d: skipping torn final record: %s",
-                                   path, lineno, exc)
-                    break
-                raise DbFormatError(f"{path}: line {lineno}: {exc}") from exc
-            if record.network_id in records:
-                logger.warning(
-                    "%s: duplicate network_id %r at line %d, keeping latest",
-                    path, record.network_id, lineno,
-                )
-            records[record.network_id] = record
-    return HashDb(records=records)
+    # imported here: a process that only hashes and appends never compiles
+    # the loader, which matters where bytecode is not cached
+    from .storecols import load
+
+    return load(path)
 
 
 def query(
@@ -380,18 +390,17 @@ def query(
     if motif_name not in keyword.summaries:
         raise ValueError(f"keyword record has no summary for motif {motif_name!r}")
     ka = keyword.summaries[motif_name]
-    records = db.with_motif(motif_name)
-    if not records:
+    entries = db._entries(motif_name)
+    if entries is None:
         return []
     with _gc_paused():
-        ids = [rec.network_id for rec in records]
-        entries = [rec.summaries[motif_name] for rec in records]
+        ids = entries.ids
         normals = spawn_normals(seed, "query-delta", ids) if c_delta != 0.0 else None
         p_values, ok = two_sample_p_values(ka, entries, level, c_delta, normals)
         p_values = p_values.tolist()
         for k in np.flatnonzero(~ok).tolist():
             rng = spawn_rng(seed, "query-delta", ids[k])
-            p_values[k] = two_sample_test(ka, entries[k], level=level, c_delta=c_delta,
+            p_values[k] = two_sample_test(ka, entries.summary(k), level=level, c_delta=c_delta,
                                           rng=rng).p_value
         # sorted on the (-p, id) keys themselves, then one hit per entry; -(-p) is p
         return [

@@ -140,34 +140,37 @@ def two_sample_test(
 
 def two_sample_p_values(
     sa: NetworkSummary,
-    sbs: list[NetworkSummary],
+    sb,
     level: float,
     c_delta: float,
     normals,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`two_sample_test(sa, sb, ...).p_value` for every sb at once, and where
-    that holds.
+    """`two_sample_test(sa, entry, ...).p_value` for every entry of `sb` at
+    once, and where that holds.
 
-    `normals[k]` is the standard normal that sb k's smoothing draw scales
-    (unused when c_delta is 0). The pair formulas run once over float64
-    columns of the sbs. Returns (p-values, ok): where ok is False the test
-    of that pair raises, or may (a level outside (0, 1), a motif mismatch,
-    a size below 2, a c_delta below 0 or nan, a size with no double, an
-    S^2, coefficient or statistic that is not finite, or a keyword side
-    whose own arithmetic fails, which flags every pair), and its p-value is
-    meaningless; the caller runs `two_sample_test` on it instead.
+    `sb` holds the entries as columns, the shape of a NetworkSummary whose
+    fields are arrays: each SUMMARY_FIELDS as float64, n, motif_r and
+    motif_s as integer arrays, and motif_name a str or an array of them (a
+    store's `_Entries`). `normals[k]` is the standard normal that entry k's
+    smoothing draw scales (unused when c_delta is 0). The pair formulas run
+    once over the columns. Returns (p-values, ok): where ok is False the
+    test of that pair raises, or may (a level outside (0, 1), a motif
+    mismatch, a size below 2, a c_delta below 0 or nan, a size with no
+    double, an S^2, coefficient or statistic that is not finite, or a
+    keyword side whose own arithmetic fails, which flags every pair), and
+    its p-value is meaningless; the caller runs `two_sample_test` on it
+    instead.
     """
-    k = len(sbs)
+    k = len(sb.n)
     flagged = (np.full(k, math.nan), np.zeros(k, dtype=bool))
     if not (0.0 < level < 1.0 and c_delta >= 0.0 and sa.n >= 2):
         return flagged
-    cols = _summary_columns(sbs)
-    sizes = _size_columns(sa.n, [sb.n for sb in sbs])
+    sizes = _size_columns(sa.n, sb.n)
     try:
         with np.errstate(all="ignore"):
-            s_sq = _studentizer_sq(sa, cols, sizes)
-            coeffs = _expansion(sa, cols, s_sq, sizes, _ARRAY_OPS)
-            d_hat = scaled_discrepancy(sa, cols, _ARRAY_OPS)
+            s_sq = _studentizer_sq(sa, sb, sizes)
+            coeffs = _expansion(sa, sb, s_sq, sizes, _ARRAY_OPS)
+            d_hat = scaled_discrepancy(sa, sb, _ARRAY_OPS)
             delta_t = 0.0
             if c_delta != 0.0:
                 # Generator.normal(loc, scale) is loc + scale * standard_normal()
@@ -180,7 +183,8 @@ def two_sample_p_values(
         # alone, so the first raises what its one-pair test raises
         return flagged
     ok = (np.isfinite(total) & (coeffs.S > 0.0) & (sizes[1] >= 2.0)
-          & np.fromiter(map(sa.same_motif, sbs), bool, k))
+          & (sb.motif_name == sa.motif_name) & (sb.motif_r == sa.motif_r)
+          & (sb.motif_s == sa.motif_s))
     return p_values, ok
 
 

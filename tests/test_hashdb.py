@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+import math
 import tracemalloc
 
 import numpy as np
@@ -548,6 +549,61 @@ def test_db_load_raises_for_the_first_bad_line(tmp_path):
     with pytest.raises(DbFormatError) as info:
         nm.db_load(path)
     assert str(info.value) == f"{path}: line 2: bad record object: 'n'"
+    # a value out of range raises before a later line that does not decode
+    _write_store(path, good, _edited_line(_edit("rho_hat", 1.5, "summary")),
+                 _edited_line(("{", "{{")), good)
+    with pytest.raises(DbFormatError) as info:
+        nm.db_load(path)
+    assert str(info.value) == f"{path}: line 2: rho_hat must be in (0,1), got 1.5"
+
+
+def test_db_load_skips_a_torn_final_line_out_of_range(tmp_path, caplog):
+    path = tmp_path / "db.ndjson"
+    good = record_to_json(_good_record())
+    path.write_text(good + "\n" + _edited_line(_edit("rho_hat", 1.5, "summary")))
+    with caplog.at_level(logging.WARNING):
+        db = nm.db_load(path)
+    assert db.records == {"ok": record_from_json(good)}
+    assert any(f"{path}: line 2: skipping torn final record: rho_hat must be in (0,1)"
+               in r.message for r in caplog.records)
+
+
+# Values that decode with their stored types but fail NetworkSummary.validate:
+# the loader checks them as columns, then raises the line's own error.
+RANGE_FAULTS = [
+    *((name, value) for name in SUMMARY_FIELDS for value in (math.nan, math.inf, -math.inf)),
+    ("rho_hat", 0.0), ("rho_hat", 1.0), ("rho_hat", -0.5), ("u_hat", 1.5), ("u_hat", -1e-300),
+    ("xi_g1_sq", -1e-300), ("xi_alpha1_sq", -2.0), ("n", 3), ("n", -5), ("n", 10**30),
+    ("r", 15), ("r", 2**63 - 1), ("r", 10**30),
+]
+
+
+@pytest.mark.parametrize(("field", "value"), RANGE_FAULTS)
+@pytest.mark.parametrize("multi", [False, True], ids=["one-motif", "second-motif"])
+def test_db_load_range_faults_raise_what_record_from_json_raises(tmp_path, field, value, multi):
+    record = nm.hash_network(random_graph(15, 0.5, spawn_rng(4, "c")),
+                             [nm.TRIANGLE, nm.VSHAPE] if multi else [nm.TRIANGLE], "ok")
+    payload = json.loads(record_to_json(record))
+    target = payload["summaries"][-1]
+    if field == "n":
+        payload["n"] = value
+    else:
+        (target["motif"] if field == "r" else target)[field] = value
+    bad = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+    path = tmp_path / "db.ndjson"
+    good = record_to_json(record)
+    _write_store(path, good, good, bad, good)
+    try:
+        record_from_json(bad)
+    except DbFormatError as exc:
+        want = f"{path}: line 3: {exc}"
+    else:
+        assert field == "n" and value == 10**30  # n may be any size above r
+        assert nm.db_load(path).records["ok"] == record_from_json(good)
+        return
+    with pytest.raises(DbFormatError) as info:
+        nm.db_load(path)
+    assert str(info.value) == want
 
 
 def test_db_append_refuses_a_summary_of_another_network(tmp_path):
@@ -666,3 +722,76 @@ def test_record_to_json_needs_the_stored_types(tmp_path, field, value):
     with pytest.raises(TypeError):
         nm.db_append(path, record)
     assert not path.exists()
+
+
+# A store line as a person or another program might write it: a valid record
+# whose values may be JSON integers where floats are stored, with or without
+# created_at, with unknown keys, in any key order and spacing, ending in LF or
+# CRLF; some ids repeat, and blank lines fall between records.
+_in_range = {
+    "rho_hat": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    "u_hat": st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1])),
+    "xi_g1_sq": st.one_of(st.floats(0.0, 1e300), st.integers(0, 10**6)),
+    "xi_alpha1_sq": st.one_of(st.floats(0.0, 1e300), st.integers(0, 10**6)),
+}
+_any_value = st.one_of(_doubles, st.integers(-10**6, 10**6))
+
+
+@st.composite
+def _store_lines(draw):
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        network_id = draw(st.sampled_from(["a", "b", "c", "net 7", "nét", "\"q\""]))
+        names = draw(st.lists(st.sampled_from(["triangle", "vshape", "edge", "my-4cycle",
+                                               "mötif"]), min_size=1, max_size=3,
+                              unique=True))
+        summaries = []
+        for name in names:
+            r = draw(st.integers(2, 5))
+            summary = {"motif": {"name": name, "r": r, "s": draw(st.integers(1, 10))}}
+            for f in SUMMARY_FIELDS:
+                summary[f] = draw(_in_range.get(f, _any_value))
+            if draw(st.booleans()):
+                summary["extra"] = [1, {"x": None}]
+            summaries.append((summary, r))
+        payload = {"network_id": network_id, "schema_version": 1,
+                   "n": draw(st.integers(max(r for _, r in summaries) + 1, 10**12)),
+                   "summaries": [summary for summary, _ in summaries]}
+        if draw(st.booleans()):
+            payload["created_at"] = draw(st.sampled_from(["", "2026-10-20T01:00:00+00:00"]))
+        if draw(st.booleans()):
+            payload["zzz"] = {"unknown": True}
+        spaced = draw(st.booleans())
+        line = json.dumps(payload, sort_keys=draw(st.booleans()),
+                          separators=(", ", ": ") if spaced else (",", ":"))
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+        lines.extend(draw(st.lists(st.sampled_from(["\n", "  \n", "\r\n"]), max_size=1)))
+    return lines
+
+
+def _fold(lines) -> dict:
+    """The store as a per-line record_from_json fold: later duplicates win,
+    each id keeps its first place."""
+    records = {}
+    for line in lines:
+        if line.strip():
+            record = record_from_json(line)
+            records[record.network_id] = record
+    return records
+
+
+def _fields(records: dict) -> str:
+    """Every id, field, value and type, in order."""
+    return repr([(nid, dataclasses.astuple(rec), list(rec.summaries))
+                 for nid, rec in records.items()])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_store_lines())
+def test_db_load_records_equal_a_fold_of_record_from_json(tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "fold.ndjson"
+    path.write_bytes("".join(lines).encode("utf-8"))
+    db = nm.db_load(path)
+    want = _fold(lines)
+    assert len(db) == len(want)
+    assert _fields(db.records) == _fields(want)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -330,3 +332,66 @@ def test_closed_form_chosen_by_shape_not_name():
     assert got.u_hat == want.u_hat
     assert np.array_equal(got.node_avgs, want.node_avgs)
     assert np.array_equal(got.pair_avgs, want.pair_avgs)
+
+
+def connected_shapes(r):
+    """One pattern per connected graph on r nodes, up to isomorphism."""
+    pairs = list(itertools.combinations(range(r), 2))
+    relabel = [[pairs.index(tuple(sorted((p[a], p[b])))) for a, b in pairs]
+               for p in itertools.permutations(range(r))]
+    seen, shapes = set(), []
+    for bits in range(1, 1 << len(pairs)):
+        canon = min(sum(1 << k2 for k, k2 in enumerate(to) if bits >> k & 1) for to in relabel)
+        if canon in seen:
+            continue
+        seen.add(canon)
+        pattern = np.zeros((r, r), dtype=bool)
+        for k, (a, b) in enumerate(pairs):
+            pattern[a, b] = pattern[b, a] = bool(bits >> k & 1)
+        try:
+            shapes.append(nm.Motif(f"shape-{r}-{bits}", pattern))
+        except ValueError:  # not connected
+            continue
+    return shapes
+
+
+def loop_census(adj, motif):
+    """(total, per node, per pair) of the r-subsets that contain the motif,
+    one `contains_motif` call per subset."""
+    m = adj.shape[0]
+    total, nodes, pairs = 0.0, np.zeros(m), np.zeros((m, m))
+    for combo in itertools.combinations(range(m), motif.r):
+        if nm.contains_motif(adj[np.ix_(combo, combo)], motif):
+            total += 1.0
+            nodes[list(combo)] += 1.0
+            for i, j in itertools.combinations(combo, 2):
+                pairs[i, j] += 1.0
+                pairs[j, i] += 1.0
+    return total, nodes, pairs
+
+
+SHAPES = [motif for r in range(2, 6) for motif in connected_shapes(r)]
+
+
+def test_connected_shapes_are_every_one():
+    assert [sum(motif.r == r for motif in SHAPES) for r in range(2, 6)] == [1, 2, 6, 21]
+
+
+@pytest.mark.parametrize("motif", SHAPES, ids=lambda motif: motif.name)
+def test_array_census_matches_contains_motif(motif, monkeypatch):
+    rng = spawn_rng(motif.r, "array-census", motif.name)
+    graphs = [random_graph(m, p, rng) for m, p in ((motif.r, 0.8), (7, 0.3), (7, 0.7))]
+    for g in graphs:
+        total, nodes, pairs = nm_motif._subset_census(g, motif, want_pairs=True)
+        want = loop_census(g.adj, motif)
+        assert type(total) is float and total == want[0]
+        assert nodes.dtype == pairs.dtype == np.float64
+        assert np.array_equal(nodes, want[1]) and np.array_equal(pairs, want[2])
+        assert nm_motif._subset_census(g, motif, want_pairs=False)[2] is None
+    stack = [random_graph(6, p, rng) for p in (0.2, 0.5, 0.9)]
+    monkeypatch.setattr(nm_motif, "_SUBSETS", 7)  # several blocks, one a part block
+    total, nodes, pairs = nm_motif._subset_census(GraphStack(stack), motif, want_pairs=True)
+    for k, g in enumerate(stack):
+        want = loop_census(g.adj, motif)
+        assert total[k] == want[0]
+        assert np.array_equal(nodes[k], want[1]) and np.array_equal(pairs[k], want[2])

@@ -104,6 +104,7 @@ SPOILS = {
     "rho^-s overflows": (lambda s, k: dataclasses.replace(s, rho_hat=1e-120), OverflowError),
     "rho = 0": (lambda s, k: dataclasses.replace(s, rho_hat=0.0), ZeroDivisionError),
     "n < 2": (lambda s, k: dataclasses.replace(s, n=1), ValueError),
+    "n past the doubles": (lambda s, k: dataclasses.replace(s, n=10**120), OverflowError),
     # u^2 overflows in the CDF, and the clamps meet a nan
     "huge statistic": (lambda s, k: dataclasses.replace(
         s, n=2, xi_alpha1_sq=2.0, e_a1_a3=-1.2e308, e_a4_a1=0.0, u_hat=1e307, rho_hat=0.5),
@@ -140,8 +141,8 @@ def test_spoiled_entry_raises_what_the_entry_loop_raises(store, kind, c_delta):
     else:
         assert got[0] is raises
     if kind == "flagged, no error":
-        entry = db.records["small-010"].summaries["triangle"]
-        _, ok = two_sample_p_values(keyword.summaries["triangle"], [entry], 0.05, c_delta,
+        entry = HashDb(records={"small-010": db.records["small-010"]})._entries("triangle")
+        _, ok = two_sample_p_values(keyword.summaries["triangle"], entry, 0.05, c_delta,
                                     np.zeros(1))
         assert not ok[0]
 
@@ -199,6 +200,86 @@ def test_bad_level_or_c_delta_raises_on_a_store_only(store, level, c_delta):
                           c_delta=c_delta, seed=1)
     assert got[0] is ValueError
     assert nm.query(keyword, HashDb(records={}), "triangle", level=level, c_delta=c_delta) == []
+
+
+# ---------------------------------------------------------------------------
+# A loaded store: the query reads its columns
+# ---------------------------------------------------------------------------
+
+
+def loaded(db, path):
+    """db appended to a store at path and loaded again."""
+    for rec in db.records.values():
+        nm.db_append(path, rec)
+    return nm.db_load(path)
+
+
+# a valid entry whose test the array pass flags (its coefficients and
+# statistic sum past the largest double) but which gives a p-value alone
+def flagged_valid(s, k):
+    return dataclasses.replace(s, n=4, xi_alpha1_sq=0.5, e_a1_a3=-1.7e308, e_a4_a1=0.0,
+                               rho_hat=0.45, u_hat=0.5)
+
+
+@pytest.fixture(scope="module")
+def stored(store, tmp_path_factory):
+    """`store` with sizes about the int64 and exact-cube bounds, held as
+    records and loaded from a file."""
+    sizes = (2**21 - 1, 2**21, 2**63 - 1, 2**63 + 5, 10**30)
+    extra = [record(synthetic_summary(spawn_rng(k, "sizes"), n=n), f"size-{k}")
+             for k, n in enumerate(sizes)]
+    db = HashDb(records={**store.records, **{rec.network_id: rec for rec in extra}})
+    return db, loaded(db, tmp_path_factory.mktemp("stored") / "db.ndjson")
+
+
+@pytest.mark.parametrize("keyword_id", ["small-007", "mid-1", "big-1000000000-03", "size-4"])
+@pytest.mark.parametrize("c_delta", [0.0, 0.01])
+def test_loaded_store_query_matches_frozen_query(stored, keyword_id, c_delta):
+    db, got_db = stored
+    keyword = db.records[keyword_id]
+    assert got_db.records == db.records
+    for seed in (0, 2**32 + 5):
+        got = outcome(nm.query, keyword, got_db, "triangle", c_delta=c_delta, seed=seed)
+        assert isinstance(got, list) and len(got) == len(db)
+        assert got == outcome(frozen_query, keyword, db, "triangle", c_delta=c_delta, seed=seed)
+
+
+@pytest.mark.parametrize("kinds", [["motif shape"], ["rho^-s overflows", "motif shape"],
+                                   ["n past the doubles"], [None]])
+def test_loaded_store_with_a_flagged_entry_matches_frozen_query(store, tmp_path, kinds):
+    keyword = store.records["small-003"]
+    if kinds == [None]:
+        records = dict(store.records)
+        records["small-010"] = record(flagged_valid(records["small-010"].summaries["triangle"],
+                                                    None), "small-010")
+        db = HashDb(records=records)
+    else:
+        db = with_spoiled(store, kinds, keyword)
+    got = outcome(nm.query, keyword, loaded(db, tmp_path / "db.ndjson"), "triangle", seed=4)
+    assert got == outcome(frozen_query, keyword, db, "triangle", seed=4)
+    assert isinstance(got, list) == (kinds == [None])
+
+
+def test_query_of_a_loaded_store_builds_only_its_flagged_entries(store, tmp_path, monkeypatch):
+    keyword = store.records["small-003"]
+    records = dict(store.records)
+    records["small-010"] = record(flagged_valid(records["small-010"].summaries["triangle"], None),
+                                  "small-010")
+    path = tmp_path / "db.ndjson"
+    for rec in records.values():
+        nm.db_append(path, rec)
+    built = []
+    for cls in (HashRecord, nm.NetworkSummary):
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    db = nm.db_load(path)
+    hits = nm.query(keyword, db, "triangle", seed=4)
+    assert built == ["NetworkSummary"]  # small-010's, for two_sample_test
+    assert len(hits) == len(records)
+    assert len(db.records) == len(records)
+    assert built.count("HashRecord") == built.count("NetworkSummary") - 1 == len(records)
 
 
 # ---------------------------------------------------------------------------
