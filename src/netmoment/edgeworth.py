@@ -18,10 +18,7 @@ added as one small array, element by element, so each summary keeps the
 bits it has alone, and a motif that fails (too few nodes, an empty or
 complete graph, an overflow) is dropped alone with the error `summarize`
 raises for it. `summarize` is that kernel with one motif, `hash_network`
-calls it once per network. On a dense m = 1000 graph the node pass's half
-product (see `motif._TwoWalks`) and the shared walk took a triangle and
-vshape hash from about 140 to about 60 ms in-process (2 vCPUs, one BLAS
-thread), every summary bit for bit.
+calls it once per network.
 
 `summarize_many` runs the same kernel over a stack of same-size graphs, with
 a leading batch axis on every array: 2^16 / m^2 graphs of m <= 90 nodes at a
@@ -42,15 +39,14 @@ form. A tiny artificial Gaussian (the smoothing noise) is available to keep
 the statistic's distribution smooth on discrete-ish networks.
 
 The pair formulas (S^2 and the coefficients, the expanded CDF, the smoothing
-scale) are written once, for one pair of Python floats or for float64
-arrays of many pairs, as a store query scores them; the caller hands them
-the operations besides + - * / (`_FLOAT_OPS` or `_ARRAY_OPS`). They give
-both the same bits: numpy's + - * /, comparisons and sqrt are the correctly
-rounded IEEE operations Python's floats use, and pow, exp, log and erfc run
-through Python's own functions per element, since numpy's vector versions
-differ from them in the last bit for a few percent of inputs. The integer
-sizes they divide by are Python ints, rounded once to a double
-(`_pair_sizes`, `_size_columns`).
+draw) are written once, for one pair of Python floats or for float64 arrays
+of many pairs, as a store query scores them. Each operation they use besides
++ - * / (`_sqrt`, `_pow`, `_exp`, `_log`, `_erfc`, `_min`, `_max`) takes
+either, and gives each element of an array the bits it gives that element
+alone, since numpy's + - * / and comparisons are the correctly rounded IEEE
+operations Python's floats use. One pair's values are Python floats, and
+its errors are Python's. The integer sizes the formulas divide by are
+Python ints, rounded once to a double (`_pair_sizes`, `_size_columns`).
 
 No cross-network quantity is ever required: the two sides of every formula
 are computed separately, which is what makes offline hashing possible.
@@ -62,7 +58,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -83,22 +78,51 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def _elementwise(fn):
-    """fn of each element of a float64 array, by Python's own float arithmetic.
+# The operations of the pair formulas besides + - * /, each for a Python
+# float or a float64 array. A float goes to Python's own function, so it
+# gives a Python float and raises as Python raises. An array takes pow, exp,
+# log and erfc from Python element by element (`_each`), since numpy's vector
+# versions differ from them in the last bit for a few percent of inputs, and
+# numpy's sqrt, correctly rounded as math.sqrt is (nan below 0). The clamps
+# are Python's min(x, y), x unless y < x, and max(x, y), x unless y > x,
+# element by element where y is an array.
+def _sqrt(x):
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
-    An element where fn raises (a domain or range error) becomes nan. A
-    Python number, such as the keyword side of a store query, goes to fn
-    as it is, and so raises as fn raises.
-    """
-    def each(x, *args):
-        if not isinstance(x, np.ndarray):
-            return fn(x, *args)
-        values = x.tolist()
-        try:
-            return np.fromiter(map(fn, values, *map(repeat, args)), np.float64, len(values))
-        except (ArithmeticError, ValueError):
-            return np.array([_nan_on_error(fn, v, args) for v in values], dtype=np.float64)
-    return each
+
+def _pow(x, k):
+    return _each(pow, x, k) if isinstance(x, np.ndarray) else pow(x, k)
+
+
+def _exp(x):
+    return _each(math.exp, x) if isinstance(x, np.ndarray) else math.exp(x)
+
+
+def _log(x):
+    return _each(math.log, x) if isinstance(x, np.ndarray) else math.log(x)
+
+
+def _erfc(x):
+    return _each(math.erfc, x) if isinstance(x, np.ndarray) else math.erfc(x)
+
+
+def _min(x, y):
+    return np.where(y < x, y, x) if isinstance(y, np.ndarray) else min(x, y)
+
+
+def _max(x, y):
+    return np.where(y > x, y, x) if isinstance(y, np.ndarray) else max(x, y)
+
+
+def _each(fn, x: np.ndarray, *args) -> np.ndarray:
+    """fn of each element of a float64 array, by Python's own float
+    arithmetic; an element where fn raises (a domain or range error) becomes
+    nan."""
+    values = x.tolist()
+    try:
+        return np.fromiter(map(fn, values, *map(repeat, args)), np.float64, len(values))
+    except (ArithmeticError, ValueError):
+        return np.array([_nan_on_error(fn, v, args) for v in values], dtype=np.float64)
 
 
 def _nan_on_error(fn, v, args):
@@ -108,29 +132,13 @@ def _nan_on_error(fn, v, args):
         return math.nan
 
 
-# The operations of the pair formulas besides + - * /: Python's own on one
-# pair's floats, and the same per element on float64 arrays of many pairs.
-# numpy's vector pow, exp and log differ from Python's in the last bit for a
-# few percent of inputs, so the arrays do not use them; sqrt is correctly
-# rounded in both (and nan below 0). The clamps are Python's min(x, y)
-# (x unless y < x) and max(x, y) (x unless y > x).
-_FLOAT_OPS = SimpleNamespace(sqrt=math.sqrt, pow=pow, exp=math.exp, log=math.log,
-                             erfc=math.erfc, min=min, max=max)
-_ARRAY_OPS = SimpleNamespace(
-    sqrt=np.sqrt, pow=_elementwise(pow), exp=_elementwise(math.exp),
-    log=_elementwise(math.log), erfc=_elementwise(math.erfc),
-    min=lambda x, y: np.where(y < x, y, x), max=lambda x, y: np.where(y > x, y, x),
-)
+def norm_cdf(u):
+    """Standard normal CDF via erfc, accurate in both tails."""
+    return 0.5 * _erfc(-u / _SQRT2)
 
 
-def norm_cdf(u, ops=_FLOAT_OPS):
-    """Standard normal CDF via erfc, accurate in both tails (of an array of
-    u with ops=_ARRAY_OPS)."""
-    return 0.5 * ops.erfc(-u / _SQRT2)
-
-
-def norm_pdf(u, ops=_FLOAT_OPS):
-    return _INV_SQRT_2PI * ops.exp(-0.5 * u * u)
+def norm_pdf(u):
+    return _INV_SQRT_2PI * _exp(-0.5 * u * u)
 
 
 def norm_quantile(alpha: float) -> float:
@@ -221,9 +229,9 @@ class EdgeworthCoeffs:
 # Pair terms are built one subtree of numpy's pairwise summation at a time,
 # each of at most _LEAF pairs, so the working memory of `summarize` is
 # O(_LEAF + m). It must be at least 128, numpy's own leaf, so that np.sum over
-# the subtree's slice gives the subtree's bits. 2^15 to 2^17 tie for the
-# fastest triangle + vshape summary of a sparse (m = 1500) and a dense
-# (m = 1000) graph, 2 vCPUs and one BLAS thread; 2^12 is twice as slow.
+# the subtree's slice gives the subtree's bits. Much smaller leaves pay
+# numpy's per-call overhead on every leaf; 2^15 to 2^17 were equally fast on
+# the hash graphs (CHANGES.md, "Hash every motif of a graph in one pass").
 _LEAF = 1 << 16
 
 
@@ -252,10 +260,9 @@ def _group_size(m: int) -> int:
 
     A stack pays only while numpy's per-call overhead outweighs its
     arithmetic. Graphs of at most _LEAF / 8 pairs (m <= 90) go in stacks of
-    _LEAF // m^2, 8 or more, each stack one leaf; larger graphs go one at a
-    time. Against one graph at a time, a cdf replicate in a stack took 0.6
-    of the time at m = 40, 0.9 at m = 64, 0.75-1.0 at m = 80, about the same
-    at m = 100 and 160, and 1.3-1.4 at m = 128 (2 vCPUs, one BLAS thread).
+    _LEAF // m^2, 8 or more, each stack one leaf; larger graphs, where a
+    stack saved nothing or cost more, go one at a time (CHANGES.md, the
+    review fixes to the grouped summaries; `BENCH_8.json`).
     """
     return _LEAF // (m * m) if 8 * m * m <= _LEAF else 1
 
@@ -324,8 +331,8 @@ def summarize_many(graphs, motifs: list[Motif]) -> list[list]:
                 for i, summary in zip(group, result):
                     out[j][i] = summary
         # free this stack's node pass (a given stack outlives the call)
-        # before the next stack is built: holding it over took about 3%
-        # longer per cdf chunk at m = 40
+        # before the next stack is built; holding it over made each cdf
+        # chunk slower
         stack._two_walks = None
         del stack
     for i in range(count):
@@ -596,7 +603,7 @@ def combine(sa: NetworkSummary, sb: NetworkSummary) -> EdgeworthCoeffs:
         raise DegenerateGraphError(
             f"degenerate variance: S^2={s_sq} (vertex-transitive or trivial input)"
         )
-    coeffs = _expansion(sa, sb, s_sq, sizes, _FLOAT_OPS)
+    coeffs = _expansion(sa, sb, s_sq, sizes)
     for name in ("S", "I0", "Q1", "Q2"):
         if not math.isfinite(getattr(coeffs, name)):
             raise DegenerateGraphError(f"non-finite expansion coefficient {name}")
@@ -651,13 +658,13 @@ def _studentizer_sq(sa, sb, sizes) -> float:
     return sa.xi_alpha1_sq / m + sb.xi_alpha1_sq / n
 
 
-def _expansion(sa, sb, s_sq, sizes, ops) -> EdgeworthCoeffs:
+def _expansion(sa, sb, s_sq, sizes) -> EdgeworthCoeffs:
     """S and the correction coefficients I0, Q1, Q2 from S^2, unchecked; for
     one pair, or for columns of pairs as in `_studentizer_sq`."""
     m, n, m2, n2, m3, n3, m2n, mn2 = sizes
-    S = ops.sqrt(s_sq)
-    inv3 = ops.pow(S, -3)
-    inv5 = ops.pow(S, -5)
+    S = _sqrt(s_sq)
+    inv3 = _pow(S, -3)
+    inv5 = _pow(S, -5)
     a_side = sa.e_a1_a3 + sa.e_a4_a1
     b_side = sb.e_a1_a3 + sb.e_a4_a1
 
@@ -677,13 +684,13 @@ def cdf(c: EdgeworthCoeffs, u: float) -> float:
     """Expanded CDF value at u, clamped into [0, 1]."""
     if not math.isfinite(u):
         raise ValueError("u must be finite")
-    return _expanded_cdf(c, u, _FLOAT_OPS)
+    return _expanded_cdf(c, u)
 
 
-def _expanded_cdf(c: EdgeworthCoeffs, u, ops):
+def _expanded_cdf(c: EdgeworthCoeffs, u):
     """`cdf` without its check on u, for a float or for arrays of pairs."""
-    value = norm_cdf(u, ops) - norm_pdf(u, ops) * c.correction(u)
-    return ops.min(1.0, ops.max(0.0, value))
+    value = norm_cdf(u) - norm_pdf(u) * c.correction(u)
+    return _min(1.0, _max(0.0, value))
 
 
 def cornish_fisher(c: EdgeworthCoeffs, level: float) -> float:
@@ -706,17 +713,14 @@ def smoothing_noise(m: int, n: int, c_delta: float, rng: np.random.Generator) ->
     _check_smoothing(m, n, c_delta)
     if c_delta == 0.0:
         return 0.0
-    return float(rng.normal(0.0, _smoothing_sd(m, n, c_delta, _FLOAT_OPS)))
+    return float(_smoothing_delta(m, n, c_delta, rng.standard_normal()))
 
 
 def smoothing_deltas(m: int, n: int, c_delta: float, normals: np.ndarray):
     """`smoothing_noise` of every stream whose draw would be the standard
-    normal z of `normals` (0.0 for them all when c_delta == 0):
-    Generator.normal(0, scale) is 0 + scale * z, bit for bit."""
+    normal z of `normals` (0.0 for them all when c_delta == 0)."""
     _check_smoothing(m, n, c_delta)
-    if c_delta == 0.0:
-        return 0.0
-    return 0.0 + _smoothing_sd(m, n, c_delta, _FLOAT_OPS) * normals
+    return _smoothing_delta(m, n, c_delta, normals)
 
 
 def _check_smoothing(m: int, n: int, c_delta: float) -> None:
@@ -726,9 +730,14 @@ def _check_smoothing(m: int, n: int, c_delta: float) -> None:
         raise ValueError("c_delta must be >= 0")
 
 
-def _smoothing_sd(m, n, c_delta: float, ops):
-    """sqrt(c_delta * (log m / m + log n / n)), for ints or an array of n."""
-    return ops.sqrt(c_delta * (ops.log(m) / m + ops.log(n) / n))
+def _smoothing_delta(m, n, c_delta: float, z):
+    """Generator.normal(0, sd) of the draw whose standard normal is z, for
+    sd = sqrt(c_delta * (log m / m + log n / n)): 0 + sd * z, bit for bit;
+    0.0, whatever z is, when c_delta == 0. For ints or an array of n, and a
+    float or an array of z."""
+    if c_delta == 0.0:
+        return 0.0
+    return 0.0 + _sqrt(c_delta * (_log(m) / m + _log(n) / n)) * z
 
 
 def rate_diagnostic(m: int, rho: float, motif: Motif) -> float:

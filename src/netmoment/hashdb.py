@@ -8,34 +8,27 @@ original network sizes and no adjacency access of any kind (the record types
 simply do not hold adjacency). Entries whose p-value clears the screening
 level are the candidate matches.
 
-A query scores the whole store in one pass over arrays. A loaded store
-already holds each motif's entries as float64 columns, sorted by id (one of
-records in memory builds them); `rng.spawn_normals` gives every entry the
-smoothing draw of its own (seed, "query-delta", id) stream, by numpy's
-seeding arithmetic over all ids and one reused PCG64; and
-`inference.two_sample_p_values` runs the pair formulas once over the
-columns. Each p-value has the bits that `two_sample_test` gives the pair
-alone. On 2 vCPUs a store of 3000 triangle summaries costs 10.5-12.6 us
-per record to query (best of 15 calls, 4-7 us of it seeding), against
-53-87 us when every entry built its own generator and 16-18 us when the
-seeding is shared but each pair is still tested alone.
+A query scores the whole store in one pass over arrays. A store holds each
+motif's entries as float64 columns, sorted by id (`storecols`);
+`rng.spawn_normals` gives every entry the smoothing draw of its own (seed,
+"query-delta", id) stream, by numpy's seeding arithmetic over all ids and
+one reused PCG64; and `inference.two_sample_p_values` runs the pair
+formulas once over the columns. Each p-value has the bits that
+`two_sample_test` gives the pair alone.
 
 The store is an append-only NDJSON file: one JSON object per line, floats
 serialized by shortest-roundtrip repr so the decimal text recovers the exact
 double. schema_version gates format evolution. A record is written through
 one fixed template, built from SUMMARY_FIELDS, that gives the bytes of
 `json.dumps` with sorted keys and no spaces, and appended with one `write`
-on a descriptor opened O_APPEND. In perfbench's query-store (3000 records,
-medians of ten runs on 2 vCPUs) appending costs 16.6-17.7 us per record,
-against 30 us with `json.dumps` and a buffered file. Loading (`storecols`)
-costs 12.5 us, against 18.8 us when each line built its `NetworkSummary`
-and `HashRecord`, and a query of the loaded columns 6.4 us, against 9.6 us
-when it gathered them from records.
+on a descriptor opened O_APPEND. `storecols` loads a store straight into
+its columns.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import gc
 import json
 import logging
@@ -100,26 +93,30 @@ class QueryHit:
 
 
 class HashDb:
-    """A store in memory: its records, and each motif's entries as columns.
+    """A store in memory: each motif's entries as columns, which a query
+    reads, and its records.
 
-    `db_load` gives a store whose columns are its data: `records` is built
-    from them on first access and then kept, for reading (a query reads the
-    columns, not the records). HashDb(records) is a store of those records,
-    and a query builds a motif's columns from them.
+    HashDb(records) builds the columns of the records, keyed by their ids,
+    once, and keeps the records as given; they are not range-checked, and
+    each summary is taken as filed under its motif's name with its record's
+    id and n. `db_load` gives a store of columns alone, whose `records` are
+    built from them on first read and then kept.
     """
 
-    def __init__(self, records: dict[str, HashRecord] | None, _columns=None):
-        self._records = records
-        self._columns = _columns  # a loaded store's `storecols.Columns`
+    def __init__(self, records: dict[str, HashRecord] | None = None, _columns=None):
+        if _columns is None:
+            from .storecols import columns_of
 
-    @property
+            _columns = columns_of(records)
+            self.records = records
+        self._columns = _columns  # a `storecols.Columns`
+
+    @functools.cached_property
     def records(self) -> dict[str, HashRecord]:
-        if self._records is None:
-            self._records = self._columns.records()
-        return self._records
+        return self._columns.records()
 
     def __len__(self) -> int:
-        return len(self._columns.ids if self._records is None else self._records)
+        return len(self._columns.ids)
 
     def with_motif(self, motif_name: str) -> list[HashRecord]:
         return [
@@ -130,11 +127,7 @@ class HashDb:
     def _entries(self, motif_name: str):
         """The store's entries with a summary of the motif, as a
         `storecols.Entries` in id order, or None if there are none."""
-        if self._columns is not None:
-            return self._columns.entries.get(motif_name)
-        from .storecols import entries_of
-
-        return entries_of(self.with_motif(motif_name), motif_name)
+        return self._columns.entries.get(motif_name)
 
 
 def hash_network(g: Graph, motifs: list[Motif], network_id: str) -> HashRecord:
@@ -339,8 +332,8 @@ def _gc_paused():
     """The cyclic garbage collector off for the block, then as the caller had
     it. The rows a load reads, the records built from them, and the hits a
     query builds form no reference cycles, but every full collection would
-    walk all of them: at 10^5 records a query took 1.9-2.4 s with the
-    collector running and 1.4-1.5 s with it paused (2 vCPUs)."""
+    walk all of them, which slows a large store's load and query (CHANGES.md,
+    the MENDED line on the cyclic garbage collector)."""
     enabled = gc.isenabled()
     gc.disable()
     try:

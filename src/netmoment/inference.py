@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain
 from types import SimpleNamespace
 
@@ -26,13 +25,13 @@ from .edgeworth import (
     SUMMARY_FIELDS,
     EdgeworthCoeffs,
     NetworkSummary,
-    _ARRAY_OPS,
-    _FLOAT_OPS,
     _expanded_cdf,
     _expansion,
+    _min,
     _pair_sizes,
     _size_columns,
-    _smoothing_sd,
+    _pow,
+    _smoothing_delta,
     _studentizer_sq,
     cdf,
     combine,
@@ -75,19 +74,20 @@ class TestResult:
         }
 
 
-def scaled_discrepancy(sa: NetworkSummary, sb: NetworkSummary, ops=_FLOAT_OPS) -> float:
+def scaled_discrepancy(sa: NetworkSummary, sb: NetworkSummary) -> float:
     """Plug-in discrepancy D between the two sparsity-scaled moments (of
-    every pair at once when `sb` holds columns and ops is `_ARRAY_OPS`)."""
+    every pair at once when `sb` holds columns)."""
     s = sa.motif_s
-    return ops.pow(sa.rho_hat, -s) * sa.u_hat - ops.pow(sb.rho_hat, -s) * sb.u_hat
+    return _pow(sa.rho_hat, -s) * sa.u_hat - _pow(sb.rho_hat, -s) * sb.u_hat
 
 
-def _statistic(coeffs: EdgeworthCoeffs, d_hat, delta_t, ops=_FLOAT_OPS, cdf_at=cdf):
-    """(t_obs, two-sided p-value) of one pair, or of arrays of pairs with the
-    arrays' ops and `_expanded_cdf` for `cdf_at`."""
+def _statistic(coeffs: EdgeworthCoeffs, d_hat, delta_t):
+    """(t_obs, two-sided p-value) of one pair, or of arrays of pairs. One
+    pair's t_obs goes through `cdf`, which refuses one that is not finite;
+    an array's gives a nan p-value there."""
     t_obs = d_hat / coeffs.S + delta_t
-    g_val = cdf_at(coeffs, t_obs)
-    return t_obs, 2.0 * ops.min(g_val, 1.0 - g_val)
+    g_val = _expanded_cdf(coeffs, t_obs) if isinstance(t_obs, np.ndarray) else cdf(coeffs, t_obs)
+    return t_obs, 2.0 * _min(g_val, 1.0 - g_val)
 
 
 def _pair_statistics(
@@ -150,8 +150,8 @@ def two_sample_p_values(
 
     `sb` holds the entries as columns, the shape of a NetworkSummary whose
     fields are arrays: each SUMMARY_FIELDS as float64, n, motif_r and
-    motif_s as integer arrays, and motif_name a str or an array of them (a
-    store's `_Entries`). `normals[k]` is the standard normal that entry k's
+    motif_s as integer arrays, and motif_name a str (a store's
+    `storecols.Entries`). `normals[k]` is the standard normal that entry k's
     smoothing draw scales (unused when c_delta is 0). The pair formulas run
     once over the columns. Returns (p-values, ok): where ok is False the
     test of that pair raises, or may (a level outside (0, 1), a motif
@@ -169,14 +169,10 @@ def two_sample_p_values(
     try:
         with np.errstate(all="ignore"):
             s_sq = _studentizer_sq(sa, sb, sizes)
-            coeffs = _expansion(sa, sb, s_sq, sizes, _ARRAY_OPS)
-            d_hat = scaled_discrepancy(sa, sb, _ARRAY_OPS)
-            delta_t = 0.0
-            if c_delta != 0.0:
-                # Generator.normal(loc, scale) is loc + scale * standard_normal()
-                delta_t = 0.0 + _smoothing_sd(sa.n, sizes[1], c_delta, _ARRAY_OPS) * normals
-            t_obs, p_values = _statistic(coeffs, d_hat, delta_t, _ARRAY_OPS,
-                                         partial(_expanded_cdf, ops=_ARRAY_OPS))
+            coeffs = _expansion(sa, sb, s_sq, sizes)
+            d_hat = scaled_discrepancy(sa, sb)
+            delta_t = _smoothing_delta(sa.n, sizes[1], c_delta, normals)
+            t_obs, p_values = _statistic(coeffs, d_hat, delta_t)
             total = coeffs.S + coeffs.I0 + coeffs.Q1 + coeffs.Q2 + t_obs + sum(sizes)
     except (ArithmeticError, ValueError):
         # the keyword's own terms (rho^-s, log m) failed: every pair goes
@@ -213,8 +209,8 @@ def combined_pairs(sas: list, sbs: list) -> tuple[np.ndarray, EdgeworthCoeffs, n
     sizes = _pair_sizes(sas[0].n, sbs[0].n)
     with np.errstate(all="ignore"):
         s_sq = _studentizer_sq(cols_a, cols_b, sizes)
-        coeffs = _expansion(cols_a, cols_b, s_sq, sizes, _ARRAY_OPS)
-        d_hat = scaled_discrepancy(cols_a, cols_b, _ARRAY_OPS)
+        coeffs = _expansion(cols_a, cols_b, s_sq, sizes)
+        d_hat = scaled_discrepancy(cols_a, cols_b)
     columns = (coeffs.S, coeffs.I0, coeffs.Q1, coeffs.Q2)
     ok = (s_sq > 0.0) & np.isfinite(s_sq)
     for column in columns:

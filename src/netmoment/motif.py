@@ -139,14 +139,13 @@ def contains_motif(sub: np.ndarray, motif: Motif) -> int:
 # m * m <= _BLOCK keeps its whole product, so its passes share one product.
 _BLOCK = 1 << 16
 # The half product multiplies blocks of at most this many pairs: thinner
-# blocks run float32 sgemm below its speed. At m = 1000 (2 vCPUs, one BLAS
-# thread) blocks of 65 rows took 22 ms, as long as the full product, 130 rows
-# 13-19 ms and 200-500 rows 12-12.5 ms, against 17-23 ms for the full one.
+# blocks run float32 sgemm below its speed, and blocks of a few hundred rows
+# beat the full product (CHANGES.md, "Hash every motif of a graph in one
+# pass").
 _HALF_BLOCK = 1 << 18
 # Rows of A @ A come from CSR when sum_k d_k^2 < m^3 / _SPARSE_RATIO and from
-# float32 BLAS otherwise. On random graphs (2 vCPUs, one BLAS thread) the two
-# cost the same near sum d^2 / m^3 = 0.0025 at m = 1000 and 0.003 at m = 1600
-# (density 0.05-0.06); at m = 400 both take at most 8 ms.
+# float32 BLAS otherwise: the ratio where the two cost the same on random
+# graphs (CHANGES.md, "PR 7: streamed summary").
 _SPARSE_RATIO = 400
 
 

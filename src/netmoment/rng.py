@@ -13,9 +13,7 @@ as array arithmetic over all the keys and sets one reused PCG64 to each
 stream's state, instead of building a SeedSequence, a PCG64 and a Generator
 for every stream: the CDF and coverage runners draw each replicate group
 through it, and `spawn_normals` takes the first standard normal of every
-stream for a store query's smoothing draws. For 1000 replicate streams of
-the CDF runner, seeding this way cost 5-14 us per stream, against 33-55 us
-through `spawn_rng` (2 vCPUs, three runs).
+stream for a store query's smoothing draws.
 """
 
 from __future__ import annotations

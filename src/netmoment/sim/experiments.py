@@ -20,9 +20,7 @@ intervals follow as arrays. A replicate's stream is its own, so drawing its
 smoothing normals before its summaries changes nothing, and every float has
 the bits of a one-replicate-at-a-time loop (`tests/oracles.py` keeps one for
 each runner): the elementwise formulas are the scalar ones, and float sums
-are taken in replicate order. On 2 vCPUs a 1000-replicate cdf run at
-m = 40 took 0.27-0.28 s in-process, against 0.36-0.38 s when each replicate
-built its own generator, network pair and scalar statistics.
+are taken in replicate order.
 """
 
 from __future__ import annotations
@@ -117,29 +115,35 @@ def _one_blas_thread():
     """A multiprocessing context whose workers run BLAS with one thread.
 
     Pool workers with BLAS's default threads together oversubscribe the
-    cores, and OpenBLAS threads spin while they wait: on 2 vCPUs Tier-1
-    took 502 s that way and 191 s with one BLAS thread per process. A
-    worker forked from here would inherit this process's BLAS, threads and
-    all. So the workers come from a forkserver: a fresh interpreter started
-    with each of `_BLAS_THREADS` that the caller has not set at 1, which
-    then imports this module, so that its forked workers start with numpy
-    and the package loaded and no BLAS thread running (a pool of two gave
-    its first results in 27-43 ms, against 0.23-0.32 s when each worker
-    imported them itself). The caller's own environment is restored at
-    once, and a serial run keeps its threads.
+    cores, and OpenBLAS threads spin while they wait (CHANGES.md, "Load a
+    store straight into columns"). A worker forked from here would inherit
+    this process's BLAS, threads and all. So the workers come from a
+    forkserver: a fresh interpreter started with each of `_BLAS_THREADS`
+    that the caller has not set at 1, which then imports this module, so
+    that its forked workers start with numpy and the package loaded and no
+    BLAS thread running, rather than each importing them itself. The server
+    finds this module through PYTHONPATH, set to this process's `sys.path`:
+    the forkserver does not apply the `sys.path` it is sent, and skips a
+    preload it cannot import without a word. The caller's own environment
+    is restored at once, and a serial run keeps its threads.
     """
     import multiprocessing
     from multiprocessing import forkserver
 
     context = multiprocessing.get_context("forkserver")
     context.set_forkserver_preload([__name__])
-    unset = [name for name in _BLAS_THREADS if name not in os.environ]
-    os.environ.update(dict.fromkeys(unset, "1"))
+    server_env = {name: "1" for name in _BLAS_THREADS if name not in os.environ}
+    server_env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    callers = {name: os.environ.get(name) for name in server_env}
+    os.environ.update(server_env)
     try:
         forkserver.ensure_running()
     finally:
-        for name in unset:
-            del os.environ[name]
+        for name, value in callers.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
     return context
 
 

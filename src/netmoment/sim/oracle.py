@@ -12,10 +12,7 @@ The quadrature evaluates the graphon once on the q x q grid of nodes; each
 node pair of the r-tuple reads that grid along its two axes of the r-fold
 grid, and the containment probability and the weights are built by
 broadcasting, multiplied in the order of the one-point-at-a-time formula, so
-each value keeps its bits. For the triangle centring terms of the default CDF
-experiment (SmoothGraphon-2 and -4, rho 0.25) that took 21-22 ms, against
-52-66 ms when the graphon was evaluated on all q^3 points once per pair
-(2 vCPUs).
+each value keeps its bits.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""A store's lines read straight into per-motif float64 columns.
+"""A store as per-motif float64 columns, the one form a `HashDb` holds.
 
 `hashdb.db_load` reads a store here. Each line is decoded by one `json`
 call. A line whose every value has the type `record_to_json` writes goes
@@ -6,8 +6,9 @@ straight into its motifs' columns, with no `NetworkSummary` or `HashRecord`
 built; after the last line the ranges that `NetworkSummary.validate`
 checks are checked over whole columns. Any other line, and the first line
 that the column check refuses, goes through `hashdb.record_from_json`, so
-every error keeps its message and line number. The store keeps, per motif,
-its entries sorted by id (`Entries`, the columns a query reads), and
+every error keeps its message and line number. `HashDb(records)` feeds its
+records through the same rows, unchecked. The store keeps, per motif, its
+entries sorted by id (`Entries`, the columns a query reads); a loaded store
 builds its records from them only when they are read.
 
 A process that neither loads nor queries a store (`netmoment hash`, which
@@ -37,22 +38,18 @@ from .hashdb import (
     logger,
     record_from_json,
 )
-from .inference import _summary_columns
 
 
 class Entries(SimpleNamespace):
     """One motif's entries of a store, in id order, as columns: `ids`; each
     SUMMARY_FIELDS as float64; n, motif_r and motif_s as int64 (object
-    where a value has no int64); and motif_name, a str, or an array of one
-    per entry. It reads as a NetworkSummary whose fields are columns, which
-    is how `two_sample_p_values` takes it. A loaded store's also holds each
-    entry's `row`, its place in `HashDb.records`; one built from records
-    holds their `summaries`."""
+    where a value has no int64); motif_name, the motif's name; and `row`,
+    each entry's place in the store's records. It reads as a NetworkSummary
+    whose fields are columns, which is how `two_sample_p_values` takes
+    it."""
 
     def summary(self, k: int) -> NetworkSummary:
         """Entry k as a NetworkSummary, with the bits of its columns."""
-        if self.summaries is not None:
-            return self.summaries[k]
         return NetworkSummary(self.ids[k], int(self.n[k]), self.motif_name,
                               int(self.motif_r[k]), int(self.motif_s[k]),
                               *(float(getattr(self, f)[k]) for f in SUMMARY_FIELDS))
@@ -65,24 +62,11 @@ def _ints(values) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def entries_of(records: list[HashRecord], motif_name: str) -> Entries | None:
-    """The motif's summaries of records, given in id order, as Entries."""
-    if not records:
-        return None
-    summaries = [rec.summaries[motif_name] for rec in records]
-    return Entries(
-        ids=[rec.network_id for rec in records], summaries=summaries,
-        motif_name=np.array([s.motif_name for s in summaries], dtype=object),
-        **{f: _ints([getattr(s, f) for s in summaries]) for f in ("n", "motif_r", "motif_s")},
-        **vars(_summary_columns(summaries)),
-    )
-
-
 @dataclass
 class Columns:
-    """A loaded store: the id, n and created_at of each record, in records
-    order; the motif names of a record whose line did not sort them; and
-    each motif's Entries."""
+    """A store: the id, n and created_at of each record, in records order;
+    the motif names of a record whose line did not sort them; and each
+    motif's Entries."""
 
     ids: list[str]
     ns: list[int]
@@ -140,6 +124,20 @@ def _decoded(line: str):
     return None
 
 
+def _decoded_record(rec: HashRecord) -> tuple:
+    """A record as `_decoded` gives a line."""
+    return (rec.network_id, rec.n, rec.created_at,
+            [(name, s.motif_r, s.motif_s, _floats_of(s)) for name, s in rec.summaries.items()])
+
+
+def columns_of(records: dict[str, HashRecord]) -> Columns:
+    """`HashDb(records)`'s columns: the records as rows, in the given order."""
+    rows = Rows(None)
+    for rec in records.values():
+        rows.add(0, *_decoded_record(rec))
+    return rows.columns(*rows.arrays())
+
+
 class Rows:
     """A store's lines as `load` reads them, one row per record: each row's
     identity, and per motif the row, r, s and SUMMARY_FIELDS values of
@@ -174,15 +172,18 @@ class Rows:
             ss.append(s)
             table.extend(values)
 
-    def validated(self) -> tuple:
-        """(n per row, {motif: (rows, r, s, (k, 9) values)}) as arrays, once
-        every summary passes `NetworkSummary.validate`'s checks, applied to
-        whole columns; else the DbFormatError of the first line that fails."""
-        n = _ints(self.ns)
-        columns, bad = {}, len(self.ids)
-        for name, (rows, r, s, table) in self.motifs.items():
-            rows, r, s = np.array(rows, dtype=np.intp), _ints(r), _ints(s)
-            table = np.frombuffer(table).reshape(-1, len(SUMMARY_FIELDS))
+    def arrays(self) -> tuple:
+        """(n per row, {motif: (rows, r, s, (k, 9) values)}) as arrays."""
+        return _ints(self.ns), {
+            name: (np.array(rows, dtype=np.intp), _ints(r), _ints(s),
+                   np.frombuffer(table).reshape(-1, len(SUMMARY_FIELDS)))
+            for name, (rows, r, s, table) in self.motifs.items()}
+
+    def check(self, n, motifs) -> None:
+        """Raise the DbFormatError of the first line whose summary fails
+        `NetworkSummary.validate`'s checks, applied to whole columns."""
+        bad = len(self.ids)
+        for rows, r, s, table in motifs.values():
             v = dict(zip(SUMMARY_FIELDS, table.T))
             with np.errstate(invalid="ignore"):
                 ok = ((0.0 < v["rho_hat"]) & (v["rho_hat"] < 1.0) & (0.0 <= v["u_hat"])
@@ -190,7 +191,6 @@ class Rows:
                       & (n[rows] > r) & np.isfinite(table).all(axis=1))
             if not ok.all():
                 bad = min(bad, int(rows[np.argmin(ok)]))
-            columns[name] = rows, r, s, table
         if bad < len(self.ids):
             lineno = self.linenos[bad]
             with open(self.path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -200,16 +200,15 @@ class Rows:
             except DbFormatError as exc:
                 raise DbFormatError(f"{self.path}: line {lineno}: {exc}") from exc
             raise DbFormatError(f"{self.path}: line {lineno}: changed while loading")
-        return n, columns
 
-    def db(self) -> HashDb:
-        """The store, each id's latest row in its first row's place."""
-        n, columns = self.validated()
+    def columns(self, n, motifs) -> Columns:
+        """The store of the rows' `arrays`, each id's latest row in its first
+        row's place."""
         latest = np.fromiter(self.latest.values(), np.intp, len(self.latest))
         place = np.full(len(self.ids), -1)
         place[latest] = np.arange(len(latest))
         entries = {}
-        for name, (rows, r, s, table) in columns.items():
+        for name, (rows, r, s, table) in motifs.items():
             kept = np.flatnonzero(place[rows] >= 0).tolist()
             if not kept:
                 continue
@@ -217,12 +216,11 @@ class Rows:
             kept = np.array(kept, dtype=np.intp)
             entries[name] = Entries(
                 ids=list(ids), row=place[rows[kept]], n=n[rows[kept]], motif_name=name,
-                motif_r=r[kept], motif_s=s[kept], summaries=None,
+                motif_r=r[kept], motif_s=s[kept],
                 **dict(zip(SUMMARY_FIELDS, np.ascontiguousarray(table[kept].T))))
         orders = {int(place[row]): names for row, names in self.orders.items() if place[row] >= 0}
-        return HashDb(None, Columns(*([column[i] for i in latest.tolist()]
-                                      for column in (self.ids, self.ns, self.created_ats)),
-                                    orders, entries))
+        return Columns(*([column[i] for i in latest.tolist()]
+                         for column in (self.ids, self.ns, self.created_ats)), orders, entries)
 
 
 def load(path) -> HashDb:
@@ -239,15 +237,15 @@ def load(path) -> HashDb:
                         _check_utf8(line)
                     rec = record_from_json(line)
                 except DbFormatError as exc:
-                    rows.validated()  # an earlier line out of range raises first
+                    rows.check(*rows.arrays())  # an earlier line out of range raises first
                     # only the last line of a file can lack its newline
                     if not line.endswith("\n"):
                         logger.warning("%s: line %d: skipping torn final record: %s",
                                        path, lineno, exc)
                         break
                     raise DbFormatError(f"{path}: line {lineno}: {exc}") from exc
-                record = (rec.network_id, rec.n, rec.created_at,
-                          [(name, s.motif_r, s.motif_s, _floats_of(s))
-                           for name, s in rec.summaries.items()])
+                record = _decoded_record(rec)
             rows.add(lineno, *record)
-        return rows.db()
+        arrays = rows.arrays()
+        rows.check(*arrays)
+        return HashDb(_columns=rows.columns(*arrays))

@@ -1,10 +1,15 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import netmoment
 from netmoment.sim.experiments import (
     BootstrapRunConfig,
     CdfConfig,
@@ -184,3 +189,21 @@ def test_csv_reproducible_for_same_seed(tmp_path):
     write_outputs(a, pa)
     write_outputs(b, pb)
     assert pa.read_bytes() == pb.read_bytes()
+
+
+def test_pool_workers_are_preloaded_when_the_package_is_found_by_a_sys_path_edit(tmp_path):
+    # the probe's module imports only sys, so a worker holds the harness
+    # only if its forkserver preloaded it
+    (tmp_path / "preload_probe.py").write_text(
+        "import sys\n\n\n"
+        "def probe():\n"
+        "    return ['netmoment.sim.experiments' in sys.modules],\n")
+    src = str(Path(netmoment.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path[:0] = [{src!r}, {str(tmp_path)!r}]; "
+            "from netmoment.sim.experiments import _map_reduce; "
+            "from preload_probe import probe; "
+            "print(_map_reduce(probe, [(), ()], 2))")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.splitlines()[-1] == "[[True, True]]"

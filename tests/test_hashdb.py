@@ -26,6 +26,7 @@ from netmoment.sim.graphons import builtin_graphon, sample_network
 
 from conftest import random_graph
 from oracles import frozen_summary
+from test_inference import synthetic_summary
 
 
 def test_hash_p3_edge(p3):
@@ -795,3 +796,65 @@ def test_db_load_records_equal_a_fold_of_record_from_json(tmp_path_factory, line
     want = _fold(lines)
     assert len(db) == len(want)
     assert _fields(db.records) == _fields(want)
+
+
+def _builder_record(nid, n, motifs, seed):
+    rng = spawn_rng(seed, "store-builder")
+    summaries = {name: dataclasses.replace(synthetic_summary(rng, n=n, motif=(name, r, s)),
+                                           network_id=nid)
+                 for name, r, s in motifs}
+    return HashRecord(nid, n, "2026-10-20T00:00:00+00:00", summaries)
+
+
+def _query_outcome(keyword, db, motif):
+    try:
+        hits = nm.query(keyword, db, motif, seed=3)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return [(h.network_id, h.p_value.hex(), h.passed_screen) for h in hits]
+
+
+def test_loaded_and_built_stores_hold_the_same_columns(tmp_path):
+    both = [("triangle", 3, 3), ("vshape", 3, 2)]
+    records = [
+        _builder_record("net-c", 60, both[::-1], 1),  # its line lists vshape first
+        _builder_record("net-a", 40, both, 2),
+        _builder_record("net-d", 10**120, [("cycle4", 4, 4), ("edge", 2, 1)], 3),
+        _builder_record("net-b", 10**6, both, 4),
+        _builder_record("net-e", 2**21, [("edge", 2, 1), ("triangle", 3, 3)], 5),
+    ]
+    path = tmp_path / "db.ndjson"
+    for rec in records:
+        if rec.network_id == "net-c":
+            payload = {"created_at": rec.created_at, "n": rec.n, "network_id": rec.network_id,
+                       "schema_version": 1,
+                       "summaries": [{"motif": s.motif_descriptor(),
+                                      **{f: getattr(s, f) for f in SUMMARY_FIELDS}}
+                                     for s in rec.summaries.values()]}
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        else:
+            nm.db_append(path, rec)
+    loaded = nm.db_load(path)
+    built = HashDb({rec.network_id: rec for rec in records})
+    assert len(loaded) == len(built) == len(records)
+    motifs = ("cycle4", "edge", "triangle", "vshape")
+    for motif in motifs:
+        got, want = loaded._entries(motif), built._entries(motif)
+        assert got.ids == want.ids == sorted(got.ids)
+        assert got.motif_name == want.motif_name == motif
+        for name in ("n", "motif_r", "motif_s", *SUMMARY_FIELDS):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype
+            if a.dtype == np.float64:
+                assert a.view(np.int64).tolist() == b.view(np.int64).tolist()
+            else:
+                assert a.tolist() == b.tolist()
+    assert loaded._entries("edge").n.dtype == object  # 10**120 has no int64
+    assert loaded.records == built.records
+    assert list(loaded.records["net-c"].summaries) == ["vshape", "triangle"]
+    for motif, keyword in zip(motifs, (records[2], records[4], records[1], records[1])):
+        got = [_query_outcome(keyword, db, motif) for db in (loaded, built)]
+        assert got[0] == got[1]
+        # net-d's n, past the doubles, raises where it is an entry
+        assert isinstance(got[0], tuple if motif in ("cycle4", "edge") else list)

@@ -337,3 +337,281 @@ def test_cli_degenerate_query_exits_1_as_before(capsys, monkeypatch, cli_store):
     assert got[0] == 1 and got[1] == ""
     assert "degenerate variance" in json.loads(got[2].splitlines()[-1])["error"]
     assert got == run_query(capsys, monkeypatch, True, *argv)
+
+
+# ---------------------------------------------------------------------------
+# One pair: the values and errors of each one-pair call, pinned, since
+# `frozen_query` compares `two_sample_test` only with itself
+# ---------------------------------------------------------------------------
+
+
+def pinned(fn):
+    """What fn() raises, as "type: message", or the float.hex of each float it
+    returns; every number it returns must be a Python float."""
+    try:
+        value = fn()
+    except Exception as exc:  # every error must match, whatever its type
+        return f"{type(exc).__name__}: {exc}"
+    values = value if isinstance(value, tuple) else (value,)
+    assert [type(v) for v in values] == [float] * len(values)
+    return " ".join(v.hex() for v in values)
+
+
+def one_pair_outcomes(ka, sb, c_delta):
+    def tested():
+        r = nm.two_sample_test(ka, sb, c_delta=c_delta, rng=spawn_rng(3, "pin"))
+        return r.d_hat, r.s_hat, r.t_obs, r.delta_t, r.p_value
+
+    def coeffs():
+        c = nm.combine(ka, sb)
+        return c.S, c.I0, c.Q1, c.Q2
+
+    return {
+        "combine": pinned(coeffs),
+        "scaled_discrepancy": pinned(lambda: nm.scaled_discrepancy(ka, sb)),
+        "cdf": pinned(lambda: (nm.cdf(nm.combine(ka, sb), 0.75), nm.cdf(nm.combine(ka, sb), -2.0))),
+        "two_sample_test": pinned(tested),
+        "confidence_interval": pinned(lambda: nm.confidence_interval(
+            ka, sb, c_delta=c_delta, rng=spawn_rng(3, "pin"))),
+        "smoothing_noise": pinned(lambda: nm.smoothing_noise(ka.n, sb.n, c_delta,
+                                                             spawn_rng(3, "pin"))),
+    }
+
+
+def one_pair_table():
+    """The outcomes of an ordinary pair, of each SPOILS entry and each
+    KEYWORD_SPOILS keyword against it, at c_delta 0.01, and of the ordinary
+    pair at c_delta 0, inf and nan."""
+    k = synthetic_summary(spawn_rng(11, "pin-keyword"), n=60)
+    s = synthetic_summary(spawn_rng(12, "pin-entry"), n=90)
+    pairs = {"ordinary": (k, s, 0.01)}
+    pairs.update({f"ordinary, c_delta {c}": (k, s, c) for c in (0.0, math.inf, math.nan)})
+    pairs.update({f"entry {kind}": (k, spoil(s, k), 0.01) for kind, (spoil, _) in SPOILS.items()})
+    pairs.update({f"keyword {kind}": (spoil(k), s, 0.01) for kind, spoil in KEYWORD_SPOILS.items()})
+    return {name: one_pair_outcomes(*pair) for name, pair in pairs.items()}
+
+
+# recorded while each pair formula still had a float form of its own
+PINNED = {
+    "ordinary": {
+        "combine":
+            ("0x1.9777d4b6c4dfbp-2 0x1.809d355c47d39p-2 -0x1.d3d675db46f85p-6 "
+             "-0x1.00ee21bcc297ep-6"),
+        "scaled_discrepancy": "-0x1.09629f7e7a2c2p-1",
+        "cdf": "0x1.5a3c87e4b6992p-1 0x1.0e3622ea2c7c8p-7",
+        "two_sample_test":
+            ("-0x1.09629f7e7a2c2p-1 0x1.9777d4b6c4dfbp-2 -0x1.52f18b259d4b3p+0 "
+             "-0x1.5e7c0e2679c04p-6 0x1.5a73a539ebd31p-4"),
+        "confidence_interval": "-0x1.4f0e572f90c6dp+0 0x1.d03245ae4a000p-13",
+        "smoothing_noise": "-0x1.5e7c0e2679c04p-6",
+    },
+    "ordinary, c_delta 0.0": {
+        "combine":
+            ("0x1.9777d4b6c4dfbp-2 0x1.809d355c47d39p-2 -0x1.d3d675db46f85p-6 "
+             "-0x1.00ee21bcc297ep-6"),
+        "scaled_discrepancy": "-0x1.09629f7e7a2c2p-1",
+        "cdf": "0x1.5a3c87e4b6992p-1 0x1.0e3622ea2c7c8p-7",
+        "two_sample_test":
+            ("-0x1.09629f7e7a2c2p-1 0x1.9777d4b6c4dfbp-2 -0x1.4d779aed03643p+0 0x0.0p+0 "
+             "0x1.6af47a9101667p-4"),
+        "confidence_interval": "-0x1.4ce07be62e11ep+0 0x1.1e2e6dc813980p-7",
+        "smoothing_noise": "0x0.0p+0",
+    },
+    "ordinary, c_delta inf": {
+        "combine":
+            ("0x1.9777d4b6c4dfbp-2 0x1.809d355c47d39p-2 -0x1.d3d675db46f85p-6 "
+             "-0x1.00ee21bcc297ep-6"),
+        "scaled_discrepancy": "-0x1.09629f7e7a2c2p-1",
+        "cdf": "0x1.5a3c87e4b6992p-1 0x1.0e3622ea2c7c8p-7",
+        "two_sample_test": "ValueError: u must be finite",
+        "confidence_interval": "-inf -inf",
+        "smoothing_noise": "-inf",
+    },
+    "ordinary, c_delta nan": {
+        "combine":
+            ("0x1.9777d4b6c4dfbp-2 0x1.809d355c47d39p-2 -0x1.d3d675db46f85p-6 "
+             "-0x1.00ee21bcc297ep-6"),
+        "scaled_discrepancy": "-0x1.09629f7e7a2c2p-1",
+        "cdf": "0x1.5a3c87e4b6992p-1 0x1.0e3622ea2c7c8p-7",
+        "two_sample_test": "ValueError: u must be finite",
+        "confidence_interval": "nan nan",
+        "smoothing_noise": "nan",
+    },
+    "entry motif shape": {
+        "combine":
+            ("ValueError: motif mismatch: {'name': 'triangle', 'r': 3, 's': 3} vs {'name': "
+             "'triangle', 'r': 3, 's': 2}"),
+        "scaled_discrepancy": "-0x1.09629f7e7a2c2p-1",
+        "cdf":
+            ("ValueError: motif mismatch: {'name': 'triangle', 'r': 3, 's': 3} vs {'name': "
+             "'triangle', 'r': 3, 's': 2}"),
+        "two_sample_test":
+            ("ValueError: motif mismatch: {'name': 'triangle', 'r': 3, 's': 3} vs {'name': "
+             "'triangle', 'r': 3, 's': 2}"),
+        "confidence_interval":
+            ("ValueError: motif mismatch: {'name': 'triangle', 'r': 3, 's': 3} vs {'name': "
+             "'triangle', 'r': 3, 's': 2}"),
+        "smoothing_noise": "-0x1.5e7c0e2679c04p-6",
+    },
+    "entry S^2 < 0": {
+        "combine":
+            ("DegenerateGraphError: degenerate variance: S^2=-11111.051441475358 "
+             "(vertex-transitive or trivial input)"),
+        "scaled_discrepancy": "-0x1.09629f7e7a2c2p-1",
+        "cdf":
+            ("DegenerateGraphError: degenerate variance: S^2=-11111.051441475358 "
+             "(vertex-transitive or trivial input)"),
+        "two_sample_test":
+            ("DegenerateGraphError: degenerate variance: S^2=-11111.051441475358 "
+             "(vertex-transitive or trivial input)"),
+        "confidence_interval":
+            ("DegenerateGraphError: degenerate variance: S^2=-11111.051441475358 "
+             "(vertex-transitive or trivial input)"),
+        "smoothing_noise": "-0x1.5e7c0e2679c04p-6",
+    },
+    "entry S^2 = 0": {
+        "combine":
+            ("DegenerateGraphError: degenerate variance: S^2=0.0 (vertex-transitive or trivial "
+             "input)"),
+        "scaled_discrepancy": "-0x1.09629f7e7a2c2p-1",
+        "cdf":
+            ("DegenerateGraphError: degenerate variance: S^2=0.0 (vertex-transitive or trivial "
+             "input)"),
+        "two_sample_test":
+            ("DegenerateGraphError: degenerate variance: S^2=0.0 (vertex-transitive or trivial "
+             "input)"),
+        "confidence_interval":
+            ("DegenerateGraphError: degenerate variance: S^2=0.0 (vertex-transitive or trivial "
+             "input)"),
+        "smoothing_noise": "-0x1.788d11c6e44b7p-6",
+    },
+    "entry non-finite I0": {
+        "combine": "DegenerateGraphError: non-finite expansion coefficient I0",
+        "scaled_discrepancy": "-0x1.09629f7e7a2c2p-1",
+        "cdf": "DegenerateGraphError: non-finite expansion coefficient I0",
+        "two_sample_test": "DegenerateGraphError: non-finite expansion coefficient I0",
+        "confidence_interval": "DegenerateGraphError: non-finite expansion coefficient I0",
+        "smoothing_noise": "-0x1.5e7c0e2679c04p-6",
+    },
+    "entry non-finite Q1": {
+        "combine": "DegenerateGraphError: non-finite expansion coefficient Q1",
+        "scaled_discrepancy": "-0x1.09629f7e7a2c2p-1",
+        "cdf": "DegenerateGraphError: non-finite expansion coefficient Q1",
+        "two_sample_test": "DegenerateGraphError: non-finite expansion coefficient Q1",
+        "confidence_interval": "DegenerateGraphError: non-finite expansion coefficient Q1",
+        "smoothing_noise": "-0x1.5e7c0e2679c04p-6",
+    },
+    "entry non-finite statistic": {
+        "combine":
+            ("0x1.9777d4b6c4dfbp-2 0x1.809d355c47d39p-2 -0x1.d3d675db46f85p-6 "
+             "-0x1.00ee21bcc297ep-6"),
+        "scaled_discrepancy": "-inf",
+        "cdf": "0x1.5a3c87e4b6992p-1 0x1.0e3622ea2c7c8p-7",
+        "two_sample_test": "ValueError: u must be finite",
+        "confidence_interval": "-inf -inf",
+        "smoothing_noise": "-0x1.5e7c0e2679c04p-6",
+    },
+    "entry rho^-s overflows": {
+        "combine":
+            ("0x1.9777d4b6c4dfbp-2 0x1.809d355c47d39p-2 -0x1.d3d675db46f85p-6 "
+             "-0x1.00ee21bcc297ep-6"),
+        "scaled_discrepancy": "OverflowError: (34, 'Numerical result out of range')",
+        "cdf": "0x1.5a3c87e4b6992p-1 0x1.0e3622ea2c7c8p-7",
+        "two_sample_test": "OverflowError: (34, 'Numerical result out of range')",
+        "confidence_interval": "OverflowError: (34, 'Numerical result out of range')",
+        "smoothing_noise": "-0x1.5e7c0e2679c04p-6",
+    },
+    "entry rho = 0": {
+        "combine":
+            ("0x1.9777d4b6c4dfbp-2 0x1.809d355c47d39p-2 -0x1.d3d675db46f85p-6 "
+             "-0x1.00ee21bcc297ep-6"),
+        "scaled_discrepancy": "ZeroDivisionError: 0.0 cannot be raised to a negative power",
+        "cdf": "0x1.5a3c87e4b6992p-1 0x1.0e3622ea2c7c8p-7",
+        "two_sample_test": "ZeroDivisionError: 0.0 cannot be raised to a negative power",
+        "confidence_interval": "ZeroDivisionError: 0.0 cannot be raised to a negative power",
+        "smoothing_noise": "-0x1.5e7c0e2679c04p-6",
+    },
+    "entry n < 2": {
+        "combine":
+            ("0x1.7eb72eef16517p+1 0x1.20b40aadd324fp+1 -0x1.44907a9920ed5p-1 "
+             "-0x1.6f8b1166e1ad4p-1"),
+        "scaled_discrepancy": "-0x1.09629f7e7a2c2p-1",
+        "cdf": "0x1.3ee30cb06e9bbp-1 0x1.082b37f7f9f18p-3",
+        "two_sample_test": "ValueError: smoothing noise needs m, n >= 2",
+        "confidence_interval": "ValueError: smoothing noise needs m, n >= 2",
+        "smoothing_noise": "ValueError: smoothing noise needs m, n >= 2",
+    },
+    "entry n past the doubles": {
+        "combine": "OverflowError: int too large to convert to float",
+        "scaled_discrepancy": "-0x1.09629f7e7a2c2p-1",
+        "cdf": "OverflowError: int too large to convert to float",
+        "two_sample_test": "OverflowError: int too large to convert to float",
+        "confidence_interval": "OverflowError: int too large to convert to float",
+        "smoothing_noise": "-0x1.0a43058042079p-6",
+    },
+    "entry huge statistic": {
+        "combine":
+            ("0x1.0786ed2481a2ep+0 0x1.a7f6cbf577a2ap+1 -0x1.3950678bd9b8ap+1020 "
+             "-0x1.3950678bd9b8ap+1020"),
+        "scaled_discrepancy": "-0x1.c7b1f3cac7433p+1022",
+        "cdf": "0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "two_sample_test":
+            ("-0x1.c7b1f3cac7433p+1022 0x1.0786ed2481a2ep+0 -0x1.baade189d9bb8p+1022 "
+             "-0x1.483cd25675c3bp-5 0x0.0p+0"),
+        "confidence_interval": "-0x1.db15f502ccce1p+1021 -0x1.db15f502cccdbp+1021",
+        "smoothing_noise": "-0x1.483cd25675c3bp-5",
+    },
+    "entry flagged, no error": {
+        "combine":
+            ("0x1.0786ed2481a2ep+0 0x1.a7f6cbf577a2ap+1 -0x1.3950678bd9b8ap+1020 "
+             "-0x1.3950678bd9b8ap+1020"),
+        "scaled_discrepancy": "-0x1.d4d2782e618bap+1023",
+        "cdf": "0x1.0000000000000p+0 0x1.0000000000000p+0",
+        "two_sample_test":
+            ("-0x1.d4d2782e618bap+1023 0x1.0786ed2481a2ep+0 -0x1.c76e699d9fbdap+1023 "
+             "-0x1.483cd25675c3bp-5 0x0.0p+0"),
+        "confidence_interval": "-0x1.67befb89b11d9p+1023 -0x1.67befb89b11d7p+1023",
+        "smoothing_noise": "-0x1.483cd25675c3bp-5",
+    },
+    "keyword rho^-s overflows": {
+        "combine":
+            ("0x1.9777d4b6c4dfbp-2 0x1.809d355c47d39p-2 -0x1.d3d675db46f85p-6 "
+             "-0x1.00ee21bcc297ep-6"),
+        "scaled_discrepancy": "OverflowError: (34, 'Numerical result out of range')",
+        "cdf": "0x1.5a3c87e4b6992p-1 0x1.0e3622ea2c7c8p-7",
+        "two_sample_test": "OverflowError: (34, 'Numerical result out of range')",
+        "confidence_interval": "OverflowError: (34, 'Numerical result out of range')",
+        "smoothing_noise": "-0x1.5e7c0e2679c04p-6",
+    },
+    "keyword rho = 0": {
+        "combine":
+            ("0x1.9777d4b6c4dfbp-2 0x1.809d355c47d39p-2 -0x1.d3d675db46f85p-6 "
+             "-0x1.00ee21bcc297ep-6"),
+        "scaled_discrepancy": "ZeroDivisionError: 0.0 cannot be raised to a negative power",
+        "cdf": "0x1.5a3c87e4b6992p-1 0x1.0e3622ea2c7c8p-7",
+        "two_sample_test": "ZeroDivisionError: 0.0 cannot be raised to a negative power",
+        "confidence_interval": "ZeroDivisionError: 0.0 cannot be raised to a negative power",
+        "smoothing_noise": "-0x1.5e7c0e2679c04p-6",
+    },
+    "keyword n = 1": {
+        "combine":
+            "0x1.eb042780a457dp+0 0x1.32b55a4b9b012p+1 0x1.31622137688e7p-3 0x1.6896011b90154p-1",
+        "scaled_discrepancy": "-0x1.09629f7e7a2c2p-1",
+        "cdf": "0x0.0p+0 0x0.0p+0",
+        "two_sample_test": "ValueError: smoothing noise needs m, n >= 2",
+        "confidence_interval": "ValueError: smoothing noise needs m, n >= 2",
+        "smoothing_noise": "ValueError: smoothing noise needs m, n >= 2",
+    },
+    "keyword n = 0": {
+        "combine": "ZeroDivisionError: float division by zero",
+        "scaled_discrepancy": "-0x1.09629f7e7a2c2p-1",
+        "cdf": "ZeroDivisionError: float division by zero",
+        "two_sample_test": "ZeroDivisionError: float division by zero",
+        "confidence_interval": "ZeroDivisionError: float division by zero",
+        "smoothing_noise": "ValueError: smoothing noise needs m, n >= 2",
+    },
+}
+
+
+def test_one_pair_calls_return_and_raise_as_pinned():
+    assert one_pair_table() == PINNED
