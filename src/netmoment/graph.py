@@ -74,8 +74,11 @@ class Graph:
 
     @classmethod
     def from_edges(cls, m: int, edges) -> "Graph":
-        """Build a graph from an iterable of (i, j) pairs on nodes 0..m-1."""
-        uv = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        """Build a graph from an iterable of (i, j) pairs on nodes 0..m-1, or
+        from an integer array of them, which is read as it is."""
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        uv = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         outside = ((uv < 0) | (uv >= m)).any(axis=1)
         if outside.any():
             i, j = uv[outside.argmax()].tolist()
@@ -91,14 +94,15 @@ def density(g: Graph) -> float:
     return 2.0 * g.edge_count / (g.m * (g.m - 1))
 
 
-# cells per block of the symmetry check, which compares rows lo:hi with
-# columns lo:hi and so holds no m x m temporary
-_SYMMETRY_BLOCK = 1 << 16
+# cells per block of the scans that read the adjacency a block of rows at a
+# time, so that neither the symmetry check (rows lo:hi against columns
+# lo:hi) nor the edge-list writer holds an m x m temporary
+_BLOCK = 1 << 16
 
 
 def _is_symmetric(adj: np.ndarray) -> bool:
     m = adj.shape[0]
-    step = max(1, _SYMMETRY_BLOCK // m)
+    step = max(1, _BLOCK // m)
     return all(np.array_equal(adj[lo:lo + step], adj[:, lo:lo + step].T)
                for lo in range(0, m, step))
 
@@ -341,9 +345,26 @@ def load_edge_list(path, indexing: str = "zero-based") -> Graph:
 
 
 def save_edge_list(g: Graph, path) -> None:
-    """Write the graph as a zero-based edge list with a %nodes header."""
-    iu, ju = np.nonzero(np.triu(g.adj, k=1))
+    """Write the graph as a zero-based edge list with a %nodes header.
+
+    The file is the line `%nodes m`, then one line `u v` per edge with
+    u < v, in row-major order (by u, then v), written in text mode as UTF-8.
+    The adjacency is read a block of whole rows (about _BLOCK cells) at a
+    time, and each block's lines are built as one string from tables of
+    every id's digits, so the writer holds O(m) bytes for the tables and
+    O(block) for the lines beyond the adjacency.
+    """
+    m = g.m
+    ids = np.arange(m).astype(f"S{len(str(m - 1))}")
+    # "u " and "v\n" for every id, NUL-padded to one width: a line is the
+    # two joined, with the NULs deleted
+    head, tail = np.char.add(ids, b" "), np.char.add(ids, b"\n")
+    step = max(1, _BLOCK // m)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"%nodes {g.m}\n")
-        for u, v in zip(iu.tolist(), ju.tolist()):
-            fh.write(f"{u} {v}\n")
+        fh.write(f"%nodes {m}\n")
+        for lo in range(0, m, step):
+            u, v = np.divmod(np.flatnonzero(g.adj[lo:lo + step]), m)
+            u += lo
+            upper = v > u
+            lines = np.stack([head[u[upper]], tail[v[upper]]], axis=1)
+            fh.write(lines.tobytes().translate(None, b"\0").decode("ascii"))

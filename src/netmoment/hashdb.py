@@ -72,16 +72,19 @@ class HashRecord:
         if not self.summaries:
             raise DbFormatError(f"record {self.network_id!r} has no summaries")
         for name, summary in self.summaries.items():
-            if name != summary.motif_name:
-                raise DbFormatError(
-                    f"record {self.network_id!r}: key {name!r} does not match "
-                    f"summary motif {summary.motif_name!r}"
-                )
-            if summary.network_id != self.network_id or summary.n != self.n:
-                raise DbFormatError(
-                    f"record {self.network_id!r}: summary identity mismatch"
-                )
+            self._check_filed(name, summary)
             summary.validate()
+
+    def _check_filed(self, name: str, summary: NetworkSummary) -> None:
+        """Raise DbFormatError unless the summary is filed under its motif's
+        name and carries this record's network_id and n."""
+        if name != summary.motif_name:
+            raise DbFormatError(
+                f"record {self.network_id!r}: key {name!r} does not match "
+                f"summary motif {summary.motif_name!r}"
+            )
+        if summary.network_id != self.network_id or summary.n != self.n:
+            raise DbFormatError(f"record {self.network_id!r}: summary identity mismatch")
 
 
 @dataclass(frozen=True)
@@ -97,9 +100,10 @@ class HashDb:
     reads, and its records.
 
     HashDb(records) builds the columns of the records, keyed by their ids,
-    once, and keeps the records as given; they are not range-checked, and
-    each summary is taken as filed under its motif's name with its record's
-    id and n. `db_load` gives a store of columns alone, whose `records` are
+    once, and keeps the records as given. It refuses, with DbFormatError, a
+    summary not filed under its motif's name or not carrying its record's
+    network_id and n (`HashRecord._check_filed`), but checks no value's
+    range. `db_load` gives a store of columns alone, whose `records` are
     built from them on first read and then kept.
     """
 
@@ -107,6 +111,9 @@ class HashDb:
         if _columns is None:
             from .storecols import columns_of
 
+            for rec in records.values():
+                for name, summary in rec.summaries.items():
+                    rec._check_filed(name, summary)
             _columns = columns_of(records)
             self.records = records
         self._columns = _columns  # a `storecols.Columns`

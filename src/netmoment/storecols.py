@@ -7,9 +7,9 @@ built; after the last line the ranges that `NetworkSummary.validate`
 checks are checked over whole columns. Any other line, and the first line
 that the column check refuses, goes through `hashdb.record_from_json`, so
 every error keeps its message and line number. `HashDb(records)` feeds its
-records through the same rows, unchecked. The store keeps, per motif, its
-entries sorted by id (`Entries`, the columns a query reads); a loaded store
-builds its records from them only when they are read.
+records through the same rows, with no range check. The store keeps, per
+motif, its entries sorted by id (`Entries`, the columns a query reads); a
+loaded store builds its records from them only when they are read.
 
 A process that neither loads nor queries a store (`netmoment hash`, which
 only appends, and `simulate cdf` or `coverage`) never imports this module,

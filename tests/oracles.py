@@ -5,12 +5,14 @@ transcribing the estimator formulas one line at a time, with no shared code
 or vectorization tricks from the package under test. Keep it slow and
 obvious; it is the ground truth the fast paths are checked against.
 
-There are seven exceptions. `frozen_summary` is a fixed numpy copy of the
+There are eight exceptions. `frozen_summary` is a fixed numpy copy of the
 dense summary pipeline (census closed forms, projections, pair matrices and
 the reductions) in its original operation order. It pins the package's
 summary bit for bit while the package reuses buffers in place.
 `frozen_load_edge_list` is the line-by-line edge-list loader that the array
 parser replaced, kept to pin its graphs, reports and error messages.
+`frozen_save_edge_list` is the edge-list writer that wrote one line per
+edge from Python, kept to pin the block writer's files byte for byte.
 `frozen_cdf_chunk` is the one-replicate-at-a-time CDF chunk that the grouped
 harness replaced, kept to pin its outputs byte for byte.
 `frozen_coverage_chunk` is the one-replicate-at-a-time coverage chunk, kept
@@ -537,6 +539,17 @@ def frozen_population_moment_exact(graphon, motif, rho, quad_order=64):
     for wg in np.meshgrid(*([w] * r), indexing="ij"):
         weights = weights * wg.ravel()
     return scale * float(weights @ cond)
+
+
+def frozen_save_edge_list(g, path):
+    """The edge-list writer, one `write` per edge, as it was before the block
+    writer. Change nothing here: its file is what `save_edge_list` must
+    write, byte for byte."""
+    iu, ju = np.nonzero(np.triu(g.adj, k=1))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"%nodes {g.m}\n")
+        for u, v in zip(iu.tolist(), ju.tolist()):
+            fh.write(f"{u} {v}\n")
 
 
 def frozen_sample_network(graphon, rho, m, rng):

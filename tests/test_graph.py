@@ -9,9 +9,10 @@ import netmoment as nm
 from netmoment import graph
 from netmoment.graph import EdgeListError
 from netmoment.rng import spawn_rng
+from netmoment.sim.graphons import builtin_graphon, sample_network
 
 from conftest import random_graph
-from oracles import frozen_load_edge_list
+from oracles import frozen_load_edge_list, frozen_save_edge_list
 
 
 def write(tmp_path, text, name="edges.txt"):
@@ -143,6 +144,65 @@ def test_load_idempotent_on_own_output(tmp_path):
     assert np.array_equal(g2.adj, g3.adj)
 
 
+def assert_written_as_frozen(g, tmp_path):
+    """save_edge_list writes the bytes of the per-edge writer, and the file
+    loads back to the same graph."""
+    got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+    nm.save_edge_list(g, got)
+    frozen_save_edge_list(g, want)
+    assert got.read_bytes() == want.read_bytes()
+    back = nm.load_edge_list(got)
+    assert np.array_equal(back.adj, g.adj)
+    assert back.load_report == graph.LoadReport(edges_kept=g.edge_count)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(m=st.integers(2, 300), p=st.sampled_from([0.0, 0.01, 0.1, 0.5, 0.9, 1.0]),
+       seed=st.integers(0, 2**16))
+def test_save_matches_frozen_writer(tmp_path, m, p, seed):
+    assert_written_as_frozen(random_graph(m, p, spawn_rng(seed, "save")), tmp_path)
+
+
+@pytest.mark.parametrize("m", [10, 11, 100, 101, 1000, 1001])
+def test_save_matches_frozen_writer_at_digit_boundaries(tmp_path, m):
+    g = random_graph(m, 0.2, spawn_rng(m, "save-digits"))
+    assert_written_as_frozen(g, tmp_path)
+
+
+@pytest.mark.parametrize("m", [2, 101])
+def test_save_edgeless_and_complete_graphs(tmp_path, m):
+    empty = nm.Graph(np.zeros((m, m), dtype=bool))
+    assert_written_as_frozen(empty, tmp_path)
+    assert (tmp_path / "got.txt").read_text() == f"%nodes {m}\n"
+    assert_written_as_frozen(nm.Graph(~np.eye(m, dtype=bool)), tmp_path)
+
+
+@pytest.mark.parametrize("m, specs", [
+    (1000, [("SmoothGraphon-1", 0.25), ("BlockModel-2", 0.25), ("SmoothGraphon-4", 0.25)]),
+    (1500, [("SmoothGraphon-3", 0.02), ("BlockModel-3", 0.016)]),
+])
+def test_save_matches_frozen_writer_on_benchmark_shapes(tmp_path, m, specs):
+    # the edge lists that the hash-dense and hash-sparse benchmarks write
+    for k, (name, rho) in enumerate(specs):
+        g = sample_network(builtin_graphon(name), rho, m, spawn_rng(k, "save-bench")).graph
+        assert_written_as_frozen(g, tmp_path)
+
+
+def test_save_holds_no_adjacency_copy(tmp_path):
+    # m = 5000 and 75 k edges: the adjacency alone is 23.8 MiB, and the
+    # per-edge writer held its upper triangle as a second m x m array
+    m = 5000
+    g = nm.Graph.from_edges(m, spawn_rng(6, "save-peak").integers(0, m, size=(75_000, 2)))
+    tracemalloc.start()
+    try:
+        nm.save_edge_list(g, tmp_path / "big.txt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_density_examples(p3, k4, empty5):
     assert nm.density(p3) == pytest.approx(2 / 3, abs=0)
     assert nm.density(empty5) == 0.0
@@ -188,6 +248,22 @@ def test_graph_validation():
         nm.Graph.from_edges(3, [(-1, 0)])
     with pytest.raises(ValueError, match=r"\(0, 3\)"):
         nm.Graph.from_edges(3, [(0, 3)])
+
+
+class _Unlisted(np.ndarray):
+    def __iter__(self):
+        raise AssertionError("the edges were read row by row")
+
+
+def test_from_edges_reads_an_array_as_it_is():
+    uv = spawn_rng(4, "from-edges").integers(0, 40, size=(300, 2))
+    want = nm.Graph.from_edges(40, uv.tolist())
+    for edges in (uv.view(_Unlisted), uv.astype(np.int32).view(_Unlisted),
+                  (tuple(e) for e in uv.tolist())):
+        assert np.array_equal(nm.Graph.from_edges(40, edges).adj, want.adj)
+    for bad, shown in (((-1, 0), r"\(-1, 0\)"), ((0, 40), r"\(0, 40\)")):
+        with pytest.raises(ValueError, match=shown):
+            nm.Graph.from_edges(40, np.vstack([uv, bad]).view(_Unlisted))
 
 
 @pytest.mark.parametrize("cell", [(0, 1), (450, 3), (599, 598)])

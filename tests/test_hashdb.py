@@ -617,6 +617,26 @@ def test_db_append_refuses_a_summary_of_another_network(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("misfiled", [
+    lambda s: ("vshape", s),
+    lambda s: ("triangle", dataclasses.replace(s, network_id="other")),
+    lambda s: ("triangle", dataclasses.replace(s, n=s.n + 1)),
+], ids=["key", "network_id", "n"])
+def test_built_store_refuses_a_misfiled_summary(misfiled):
+    # HashDb(records) refuses what validate refuses of a record's identity,
+    # while it leaves value ranges unchecked
+    rec = _good_record()
+    key, summary = misfiled(rec.summaries["triangle"])
+    bad = dataclasses.replace(rec, summaries={key: summary})
+    with pytest.raises(DbFormatError) as want:
+        bad.validate()
+    with pytest.raises(DbFormatError) as got:
+        HashDb({"ok": bad})
+    assert str(got.value) == str(want.value)
+    spoiled = dataclasses.replace(rec.summaries["triangle"], rho_hat=2.0)
+    HashDb({"ok": dataclasses.replace(rec, summaries={"triangle": spoiled})})
+
+
 def test_db_load_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
     path = tmp_path / "db.ndjson"
     path.write_bytes(b"\xff\n")
