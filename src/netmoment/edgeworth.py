@@ -12,13 +12,14 @@ quantities are replaced by their plug-in estimates.
 One kernel (`_summaries`) summarizes a graph for every motif of a call at
 once. Each motif builds its node terms; then a single walk over the leaves
 of numpy's summation tree builds each leaf's motif-free blocks once (the
-grho2 rows, and the rows of A @ A that the r = 3 closed forms read), and
-every live motif adds its own pair terms to them. The motifs' leaf sums are
-added as one small array, element by element, so each summary keeps the
-bits it has alone, and a motif that fails (too few nodes, an empty or
-complete graph, an overflow) is dropped alone with the error `summarize`
-raises for it. `summarize` is that kernel with one motif, `hash_network`
-calls it once per network.
+grho2 rows, and the rows of A @ A that the r = 3 closed forms read, views
+of the store the node pass left, which the read of the last row releases),
+and every live motif adds its own pair terms to them. The motifs' leaf
+sums are added as one small array, element by element, so each summary
+keeps the bits it has alone, and a motif that fails (too few nodes, an
+empty or complete graph, an overflow) is dropped alone with the error
+`summarize` raises for it. `summarize` is that kernel with one motif,
+`hash_network` calls it once per network.
 
 `summarize_many` runs the same kernel over a stack of same-size graphs, with
 a leading batch axis on every array: 2^16 / m^2 graphs of m <= 90 nodes at a
@@ -294,10 +295,11 @@ def summarize_many(graphs, motifs: list[Motif]) -> list[list]:
     each reduction sums every graph's row as it sums that graph alone, so
     each summary has the bits of `summarize`. The kernel takes a stack once
     for all the motifs, so they share its A @ A pass and its motif-free pair
-    blocks; a GraphStack whose every member is live is that stack itself. A
-    motif that fails on a stack (a member's arithmetic overflowed) is redone
-    one graph at a time; a graph summarized alone also takes all its motifs
-    in one call.
+    blocks; the stack's last leaf releases the pass's store of A @ A, so a
+    stack keeps only its per-node counts. A GraphStack whose every member is
+    live is that stack itself. A motif that fails on a stack (a member's
+    arithmetic overflowed) is redone one graph at a time; a graph summarized
+    alone also takes all its motifs in one call.
     """
     given = isinstance(graphs, GraphStack)
     if not given:
@@ -330,11 +332,6 @@ def summarize_many(graphs, motifs: list[Motif]) -> list[list]:
             if not isinstance(result, Exception):
                 for i, summary in zip(group, result):
                     out[j][i] = summary
-        # free this stack's node pass (a given stack outlives the call)
-        # before the next stack is built; holding it over made each cdf
-        # chunk slower
-        stack._two_walks = None
-        del stack
     for i in range(count):
         todo = [j for j, summaries in enumerate(out) if summaries[i] is None]
         if not todo:
@@ -389,8 +386,7 @@ def _summaries(g: Graph | GraphStack, motifs: list[Motif], network_ids: list) ->
         if not terms:
             return leaf
         grm2 = grho2_matrix(g, ps, lo, hi)
-        reads_rows = any(t.census.pair_avgs is None and _reads_two_walks(t.motif)
-                         for t in terms.values())
+        reads_rows = any(_reads_two_walks(t.motif) for t in terms.values())
         rows = _two_walks(g).counts(lo, hi) if reads_rows else None
         for k, t in list(terms.items()):
             try:
@@ -416,11 +412,9 @@ class _MotifTerms:
     def __init__(self, g: Graph | GraphStack, motif: Motif):
         if g.m < motif.r + 1:
             raise DegenerateGraphError(f"m={g.m} too small for motif r={motif.r}")
-        m = g.m
         self.g, self.motif = g, motif
         self.stacked = stacked = isinstance(g, GraphStack)
-        # a graph of one leaf gets its pair averages with the census
-        self.census = moment_census(g, motif, want_pairs=m * m <= _LEAF)
+        self.census = moment_census(g, motif)
         self.ps = ps = project(g, motif, _census=self.census)
         if _any(ps.rho_hat >= 1.0):
             raise DegenerateGraphError("degenerate sparsity: complete graph (rho_hat = 1)")

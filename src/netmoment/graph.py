@@ -94,9 +94,9 @@ def density(g: Graph) -> float:
     return 2.0 * g.edge_count / (g.m * (g.m - 1))
 
 
-# cells per block of the scans that read the adjacency a block of rows at a
-# time, so that neither the symmetry check (rows lo:hi against columns
-# lo:hi) nor the edge-list writer holds an m x m temporary
+# cells per block of a scan over rows, so that neither the symmetry check
+# (rows lo:hi against columns lo:hi), the edge-list writer nor the CSR rows
+# of A @ A (`motif._TwoWalks`) hold an m x m temporary
 _BLOCK = 1 << 16
 
 

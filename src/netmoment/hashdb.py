@@ -101,17 +101,21 @@ class HashDb:
 
     HashDb(records) builds the columns of the records, keyed by their ids,
     once, and keeps the records as given. It refuses, with DbFormatError, a
-    summary not filed under its motif's name or not carrying its record's
-    network_id and n (`HashRecord._check_filed`), but checks no value's
-    range. `db_load` gives a store of columns alone, whose `records` are
-    built from them on first read and then kept.
+    record not filed under its network_id, and a summary not filed under its
+    motif's name or not carrying its record's network_id and n
+    (`HashRecord._check_filed`), but checks no value's range. `db_load`
+    gives a store of columns alone, whose `records` are built from them on
+    first read and then kept.
     """
 
     def __init__(self, records: dict[str, HashRecord] | None = None, _columns=None):
         if _columns is None:
             from .storecols import columns_of
 
-            for rec in records.values():
+            for key, rec in records.items():
+                if key != rec.network_id:
+                    raise DbFormatError(
+                        f"record {rec.network_id!r} filed under key {key!r}")
                 for name, summary in rec.summaries.items():
                     rec._check_filed(name, summary)
             _columns = columns_of(records)

@@ -24,7 +24,7 @@ from math import comb
 
 import numpy as np
 
-from .graph import Graph, GraphStack, density
+from .graph import _BLOCK, Graph, GraphStack, density
 
 MAX_MOTIF_NODES = 5
 BRUTEFORCE_SUBSET_CAP = 10**6
@@ -135,9 +135,6 @@ def contains_motif(sub: np.ndarray, motif: Motif) -> int:
     return 0
 
 
-# A node-pass block holds at most this many pairs of A @ A; a graph with
-# m * m <= _BLOCK keeps its whole product, so its passes share one product.
-_BLOCK = 1 << 16
 # The half product multiplies blocks of at most this many pairs: thinner
 # blocks run float32 sgemm below its speed, and blocks of a few hundred rows
 # beat the full product (CHANGES.md, "Hash every motif of a graph in one
@@ -161,71 +158,70 @@ class _TwoWalks:
     The node pass reads the rows a block at a time: `tri_per_node` is the
     per-row sum of A @ A * A over two, the triangles through each node, and
     `cherry_ends` is A @ (d - 1), the per-row sum of A @ A minus the degree.
-    Both are exact integers. The rows come one of three ways:
+    Both are exact integers. The rows come one of two ways:
 
-    - *Whole* (m^2 <= _BLOCK): one float32 product, kept as float64 for the
-      life of the graph. A GraphStack takes this path, or the half product:
-      one batched `matmul` multiplies every member, and each array has the
-      stack's batch axis leading. Its members build no pass of their own.
-    - *CSR* (a larger single graph whose squared degrees sum to less than
+    - *CSR* (a single graph whose squared degrees sum to less than
       m^3 / _SPARSE_RATIO): float64 rows, in blocks of at most _BLOCK pairs.
       The walk and row buffers live from a pass's first block to its last,
       which ends at row m; a block of rows is a view of the row buffer,
       valid until the next call.
-    - *Half product* (any other larger graph): block lo:hi, of at most
+    - *Half product* (any other graph, and every GraphStack, with the
+      stack's batch axis leading on every array): block lo:hi, of at most
       _HALF_BLOCK pairs, multiplies A[lo:hi] @ A[lo:].T, which is columns
       lo: of its rows of A @ A; all the blocks take about m^3 / 2 flops,
       half of the full product. No later block reads rows lo:hi of the
       float32 copy of A again, so the block is written over them, and their
-      columns :lo are copied from the rows above, by symmetry. After the
-      node pass that one m^2 float32 array (4 bytes a pair) holds A @ A: the
-      store. `counts` gives float32 views of it (`rows` float64 copies), and
-      the read that ends at row m, the last leaf of the summaries' walk,
-      releases it; a later read builds it again. After a summary call the
-      pass thus holds only its two per-node arrays, unless no motif that
-      reads A @ A got as far as the leaves: then the store stays until the
-      graph is dropped.
+      columns :lo are copied from the rows above, by symmetry. When one
+      block holds every row, A @ A is one float32 product of the copy with
+      itself, which sgemm runs faster than A @ A.T.
+
+    One array, the store, holds A @ A from the node pass on: the half
+    product's float32 array (4 bytes a pair), or a CSR graph's block when
+    one block holds every row. `counts` gives views of it, and the read
+    that ends at row m, the last leaf of the summaries' walk, releases it; a
+    later read builds the rows again. After a summary call the pass thus
+    holds only its two per-node arrays, unless no motif that reads A @ A got
+    as far as the leaves: then the store stays until the graph is dropped.
     """
 
     def __init__(self, g: Graph | GraphStack, sparse: bool):
         adj, m = g.adj, g.m
         self._adj, self._m = adj, m
         self._sparse = sparse
-        self._full = None
-        self._store = None  # the half product's float32 A @ A
+        self._store = None  # A @ A, from the node pass to the read of row m
         self._walk = self._iota = None  # positions and cells of a block's walks
         self._out = None  # float64 rows of a block
+        tri2 = np.empty(g.degrees.shape)
+        walks = np.empty(g.degrees.shape)
         if sparse:
             self._nbr = np.nonzero(adj)[1]  # row-major, so grouped by row
             self._start = np.zeros(m + 1, dtype=np.int64)
             np.cumsum(g.degrees, out=self._start[1:])
-        tri2 = np.empty(g.degrees.shape)
-        walks = np.empty(g.degrees.shape)
-        step = max(1, _BLOCK // m)
-        if sparse:
+            step = max(1, _BLOCK // m)
             blocks = ((lo, self.counts(lo, min(lo + step, m))) for lo in range(0, m, step))
-        elif step < m:  # read the store as it is: `counts` would release it at row m
+        else:  # read the store as it is: `counts` would release it at row m
             blocks = ((lo, self._store[..., lo:hi, :]) for lo, hi in self._half_product())
-        else:
-            a32 = adj.astype(np.float32)
-            blocks = [(0, (a32 @ a32).astype(np.float64))]
         for lo, n2 in blocks:
             hi = lo + n2.shape[-2]
             # exact in float32 too (at most m), and summed exactly in float64
             tri2[..., lo:hi] = (n2 * adj[..., lo:hi, :]).sum(axis=-1, dtype=np.float64)
             walks[..., lo:hi] = n2.sum(axis=-1, dtype=np.float64)
-        if step >= m:
-            n2.setflags(write=False)
-            self._full = n2
+        if sparse and step >= m:  # one block holds every row
+            self._store = n2
         self.tri_per_node = tri2 / 2.0
         self.cherry_ends = walks - g.degrees
 
     def _half_product(self):
-        """Build the store, A @ A in the float32 copy of A, a block of rows
-        at a time; yield each block's rows lo, hi once they are whole."""
+        """Build the store, A @ A in float32, a block of rows at a time;
+        yield each block's rows lo, hi once they are whole."""
         m = self._m
         step = max(1, _HALF_BLOCK // m)
-        a = self._store = self._adj.astype(np.float32)
+        a = self._adj.astype(np.float32)
+        if step >= m:  # one block: sgemm runs A @ A faster than A @ A.T
+            self._store = a @ a
+            yield 0, m
+            return
+        self._store = a
         for lo in range(0, m, step):
             hi = min(lo + step, m)
             a[..., lo:hi, lo:] = a[..., lo:hi, :] @ a[..., lo:, :].swapaxes(-1, -2)
@@ -233,18 +229,16 @@ class _TwoWalks:
             yield lo, hi
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo:hi of A @ A as float64; read-only when cached."""
+        """Rows lo:hi of A @ A as float64."""
         return self.counts(lo, hi).astype(np.float64, copy=False)
 
     def counts(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo:hi of A @ A as they are held: float64, or a float32 view
-        of the half product's store; read-only when cached."""
-        if self._full is not None:
-            return self._full[..., lo:hi, :]
-        if not self._sparse:
-            if self._store is None:
-                for _ in self._half_product():
-                    pass
+        """Rows lo:hi of A @ A as they are held: a view of the store,
+        float32 for the half product, or a CSR block of float64 rows."""
+        if self._store is None and not self._sparse:
+            for _ in self._half_product():
+                pass
+        if self._store is not None:
             n2 = self._store[..., lo:hi, :]
             if hi == self._m:  # every pass ends with the last row
                 self._store = None
@@ -275,9 +269,11 @@ class _TwoWalks:
 def _two_walks(g: Graph | GraphStack) -> _TwoWalks:
     """The graph's or stack's `_TwoWalks`, built on first use and cached on it.
 
-    A graph shares its node pass between every motif summarized from it. Only
-    a single graph whose squared degrees sum to less than m^3 / _SPARSE_RATIO
-    takes the CSR rows; a stack, whose pass is one batched product, is dense.
+    A graph shares its node pass between every motif summarized from it: the
+    per-node counts for the graph's life, and the store of A @ A until the
+    read that ends at row m releases it. Only a single graph whose squared
+    degrees sum to less than m^3 / _SPARSE_RATIO takes the CSR rows; a stack,
+    whose pass is one batched product, is dense.
     """
     if g._two_walks is None:
         d = g.degrees
@@ -310,7 +306,8 @@ def _float(x):
 
 @dataclass(frozen=True)
 class MomentCensus:
-    """Whole-graph and per-node restricted averages, and optionally per-pair.
+    """Whole-graph and per-node restricted averages, and the per-pair ones
+    of the subset census, or of any motif when asked for.
 
     For a GraphStack each field has a leading batch axis.
     """
@@ -321,12 +318,14 @@ class MomentCensus:
 
 
 def moment_census(g: Graph | GraphStack, motif: Motif, want_pairs: bool = False) -> MomentCensus:
-    """Compute u_hat and the per-node (optionally per-pair) averages together.
+    """Compute u_hat and the per-node (and per-pair) averages together.
 
     The r = 3 closed forms read the node pass over A @ A, which runs once
-    per graph or stack whatever the motif; the full pair matrix is
-    `pair_avg_rows` over all rows. The closed form is picked by the motif's
-    shape (r, s), whatever its name.
+    per graph or stack whatever the motif; their full pair matrix, with
+    `want_pairs`, is `pair_avg_rows` over all rows, which reads and releases
+    the node pass's store. The generic path counts pairs with every subset,
+    so its census always holds them. The closed form is picked by the
+    motif's shape (r, s), whatever its name.
     """
     m = g.m
     if m < motif.r:
@@ -355,11 +354,10 @@ def moment_census(g: Graph | GraphStack, motif: Motif, want_pairs: bool = False)
             cherries = centred + walks.cherry_ends
             node_avgs = (cherries - 2.0 * tri_per_node) / node_denom
     else:
-        total, node_counts, pair_counts = _subset_census(g, motif, want_pairs)
+        total, node_counts, pair_counts = _subset_census(g, motif)
         u_hat = total / comb(m, motif.r)
         node_avgs = node_counts / node_denom
-        if want_pairs:
-            pair_avgs = pair_counts / comb(m - 2, motif.r - 2)
+        pair_avgs = pair_counts / comb(m - 2, motif.r - 2)
     if want_pairs and pair_avgs is None:
         pair_avgs = pair_avg_rows(g, motif, 0, m)
     return MomentCensus(u_hat=u_hat, node_avgs=node_avgs, pair_avgs=pair_avgs)
@@ -388,7 +386,7 @@ def pair_avg_rows(g: Graph | GraphStack, motif: Motif, lo: int, hi: int,
         np.copyto(out, n2, where=~adj)
         out /= pair_denom
     else:
-        out = _subset_census(g, motif, want_pairs=True)[2][..., lo:hi, :] / pair_denom
+        out = _subset_census(g, motif)[2][..., lo:hi, :] / pair_denom
     _zero_diagonal(out, lo)
     return out
 
@@ -433,7 +431,7 @@ def _containment(motif: Motif) -> np.ndarray:
     return ((codes & copies) == copies).any(axis=1)
 
 
-def _subset_census(g: Graph | GraphStack, motif: Motif, want_pairs: bool):
+def _subset_census(g: Graph | GraphStack, motif: Motif):
     """Generic path: every r-subset's h, and the subsets with h = 1 counted
     in all, per node and per pair (each pair both ways), as float64.
 
@@ -452,7 +450,7 @@ def _subset_census(g: Graph | GraphStack, motif: Motif, want_pairs: bool):
     contains = _containment(motif)
     total = np.zeros(size, dtype=np.int64)
     node_counts = np.zeros(size * m, dtype=np.int64)
-    pair_counts = np.zeros(size * m * m, dtype=np.int64) if want_pairs else None
+    pair_counts = np.zeros(size * m * m, dtype=np.int64)
     subsets = itertools.combinations(range(m), r)
     while len(block := np.fromiter(itertools.chain.from_iterable(
             itertools.islice(subsets, max(1, _SUBSETS // size))), np.intp).reshape(-1, r)):
@@ -463,13 +461,11 @@ def _subset_census(g: Graph | GraphStack, motif: Motif, want_pairs: bool):
         nodes = block[hit]
         total += np.bincount(member, minlength=size)
         node_counts += np.bincount((member[:, None] * m + nodes).ravel(), minlength=size * m)
-        if want_pairs:
-            for a, b in pairs:
-                pair_counts += np.bincount((member * m + nodes[:, a]) * m + nodes[:, b],
-                                           minlength=size * m * m)
+        for a, b in pairs:
+            pair_counts += np.bincount((member * m + nodes[:, a]) * m + nodes[:, b],
+                                       minlength=size * m * m)
     total = total.astype(np.float64).reshape(batch)
     node_counts = node_counts.astype(np.float64).reshape(*batch, m)
-    if want_pairs:
-        pair_counts = pair_counts.astype(np.float64).reshape(*batch, m, m)
-        pair_counts = pair_counts + np.swapaxes(pair_counts, -1, -2)
+    pair_counts = pair_counts.astype(np.float64).reshape(*batch, m, m)
+    pair_counts = pair_counts + np.swapaxes(pair_counts, -1, -2)
     return (total if batch else float(total)), node_counts, pair_counts

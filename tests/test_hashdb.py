@@ -38,8 +38,8 @@ def test_hash_p3_edge(p3):
 
 def assert_one_node_pass(rho, monkeypatch):
     """hash_network runs the node pass once and builds each leaf's rows of
-    A @ A once for all its motifs. m * m > 2^16, so the product is not kept
-    whole and each leaf reads its own rows."""
+    A @ A once for all its motifs. m * m > 2^16, so the summaries' walk has
+    two leaves and each reads its own rows."""
     m = 300
     adj = random_graph(m, rho, spawn_rng(4, "node-pass")).adj
     leaves = []
@@ -635,6 +635,17 @@ def test_built_store_refuses_a_misfiled_summary(misfiled):
     assert str(got.value) == str(want.value)
     spoiled = dataclasses.replace(rec.summaries["triangle"], rho_hat=2.0)
     HashDb({"ok": dataclasses.replace(rec, summaries={"triangle": spoiled})})
+
+
+@pytest.mark.parametrize("keys", [["other"], ["a", "b"], ["ok", "b"]],
+                         ids=["other-key", "two-keys", "a-second-key"])
+def test_built_store_refuses_a_record_not_filed_under_its_id(keys):
+    # columns file each record under its own id, so a store keyed otherwise
+    # would name other records than it holds, or count one record twice
+    with pytest.raises(DbFormatError) as info:
+        HashDb(dict.fromkeys(keys, _good_record()))
+    bad = next(key for key in keys if key != "ok")
+    assert str(info.value) == f"record 'ok' filed under key {bad!r}"
 
 
 def test_db_load_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):

@@ -179,7 +179,7 @@ def test_summarize_leaf_by_leaf_matches_frozen_summary_bit_for_bit(m, p, seed, m
 
 
 @pytest.mark.parametrize("rho", [0.02, 0.25])
-@pytest.mark.parametrize("m", [300, 700, 1200])
+@pytest.mark.parametrize("m", [100, 256, 300, 700, 1200])
 def test_streamed_summary_matches_frozen_summary_bit_for_bit(m, rho):
     g = random_graph(m, rho, spawn_rng(m, "streamed-summary", str(rho)))
     for name in ("edge", "vshape", "triangle"):
@@ -202,7 +202,9 @@ def test_two_walk_rows_are_exact(m, sparse, monkeypatch):
     ranges = [(0, m), (m - 1, m)] + [
         tuple(sorted(rng.choice(m + 1, size=2, replace=False))) for _ in range(5)]
     cached = nm_motif._TwoWalks(g, sparse)
-    monkeypatch.setattr(nm_motif, "_BLOCK", 1)  # one row per block, nothing cached
+    # one row per block: no one-block CSR store, a half product of m blocks
+    monkeypatch.setattr(nm_motif, "_BLOCK", 1)
+    monkeypatch.setattr(nm_motif, "_HALF_BLOCK", 1)
     for walks in (cached, nm_motif._TwoWalks(g, sparse)):
         assert np.array_equal(walks.tri_per_node * 2, (want * adj).sum(axis=1))
         assert np.array_equal(walks.cherry_ends, adj @ (g.degrees - 1))
@@ -255,7 +257,9 @@ def test_stacked_node_pass_matches_each_members_own(m, b, monkeypatch):
     ranges = [(0, m), (m - 1, m)] + [
         tuple(sorted(rng.choice(m + 1, size=2, replace=False))) for _ in range(3)]
     cached = nm_motif._two_walks(GraphStack(graphs))
-    monkeypatch.setattr(nm_motif, "_BLOCK", 1)  # one row per block, nothing cached
+    # one row per block of the members' CSR rows and of the half products
+    monkeypatch.setattr(nm_motif, "_BLOCK", 1)
+    monkeypatch.setattr(nm_motif, "_HALF_BLOCK", 1)
     blocked = nm_motif._TwoWalks(GraphStack(graphs), sparse=False)
     for k, g in enumerate(graphs):
         for own in (nm_motif._TwoWalks(g, sparse=True), nm_motif._TwoWalks(g, sparse=False)):
@@ -267,6 +271,53 @@ def test_stacked_node_pass_matches_each_members_own(m, b, monkeypatch):
                     assert rows.dtype == np.float64
                     assert np.array_equal(rows[k], own.rows(lo, hi))
         assert g._two_walks is None  # the stack's pass is its own
+
+
+def largest_held(walks) -> int:
+    """Cells of the largest array a node pass holds, its graph's own
+    adjacency aside."""
+    return max(x.size for x in vars(walks).values()
+               if isinstance(x, np.ndarray) and x is not walks._adj)
+
+
+def counted_half_products(monkeypatch) -> list:
+    """The shapes of the adjacencies `_TwoWalks._half_product` builds for."""
+    builds = []
+    half_product = nm_motif._TwoWalks._half_product
+
+    def counted(self):
+        builds.append(self._adj.shape)
+        return half_product(self)
+
+    monkeypatch.setattr(nm_motif._TwoWalks, "_half_product", counted)
+    return builds
+
+
+@pytest.mark.parametrize("rho", [0.03, 0.25])
+@pytest.mark.parametrize("m", [60, 256])
+def test_node_pass_holds_no_product_after_a_call(m, rho, monkeypatch):
+    # graphs of one leaf: the leaf's read of row m releases the store, a
+    # dense graph's half product or a CSR graph's one block, and the leaf
+    # reads the store the node pass left, so the product is built once
+    builds = counted_half_products(monkeypatch)
+    g = random_graph(m, rho, spawn_rng(m, "node-pass-holds", str(rho)))
+    record = nm.hash_network(g, [nm.TRIANGLE, nm.VSHAPE], "x")
+    assert sorted(record.summaries) == ["triangle", "vshape"]
+    walks = g._two_walks
+    assert walks._sparse == (rho < 0.1)
+    assert builds == ([] if walks._sparse else [(m, m)])
+    assert walks._store is None and largest_held(walks) < m * m  # CSR keeps its edges
+
+
+def test_stack_pass_holds_no_product_after_a_call(monkeypatch):
+    builds = counted_half_products(monkeypatch)
+    stack = GraphStack([random_graph(40, 0.25, spawn_rng(k, "node-pass-holds"))
+                        for k in range(edgeworth._group_size(40))])
+    got = edgeworth.summarize_many(stack, [nm.TRIANGLE, nm.VSHAPE])
+    assert not any(isinstance(s, Exception) for summaries in got for s in summaries)
+    assert builds == [stack.adj.shape]  # one batched product for both motifs
+    assert stack._two_walks._store is None
+    assert largest_held(stack._two_walks) < stack.adj.size
 
 
 @settings(max_examples=30, deadline=None)
@@ -382,15 +433,14 @@ def test_array_census_matches_contains_motif(motif, monkeypatch):
     rng = spawn_rng(motif.r, "array-census", motif.name)
     graphs = [random_graph(m, p, rng) for m, p in ((motif.r, 0.8), (7, 0.3), (7, 0.7))]
     for g in graphs:
-        total, nodes, pairs = nm_motif._subset_census(g, motif, want_pairs=True)
+        total, nodes, pairs = nm_motif._subset_census(g, motif)
         want = loop_census(g.adj, motif)
         assert type(total) is float and total == want[0]
         assert nodes.dtype == pairs.dtype == np.float64
         assert np.array_equal(nodes, want[1]) and np.array_equal(pairs, want[2])
-        assert nm_motif._subset_census(g, motif, want_pairs=False)[2] is None
     stack = [random_graph(6, p, rng) for p in (0.2, 0.5, 0.9)]
     monkeypatch.setattr(nm_motif, "_SUBSETS", 7)  # several blocks, one a part block
-    total, nodes, pairs = nm_motif._subset_census(GraphStack(stack), motif, want_pairs=True)
+    total, nodes, pairs = nm_motif._subset_census(GraphStack(stack), motif)
     for k, g in enumerate(stack):
         want = loop_census(g.adj, motif)
         assert total[k] == want[0]

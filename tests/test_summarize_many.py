@@ -275,7 +275,8 @@ def result_hex(result):
     return str(result) if isinstance(result, Exception) else summary_hex(result)
 
 
-@pytest.mark.parametrize("m, rho", [(300, 0.25), (700, 0.25), (1200, 0.25), (700, 0.02)])
+@pytest.mark.parametrize("m, rho", [(100, 0.25), (256, 0.25), (256, 0.02), (300, 0.25),
+                                    (700, 0.25), (1200, 0.25), (700, 0.02)])
 def test_one_leaf_walk_for_every_motif_matches_frozen_summary(m, rho):
     # the dense graphs read one, two and six blocks of the half product's
     # store; the sparse one builds each leaf's CSR rows once for all motifs
