@@ -222,6 +222,8 @@ def _cmd_simulate(args) -> int:
     seed_given = args.seed is not None or "NETMOMENT_SEED" in os.environ
     with open(args.config, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if type(payload) is not dict:
+        raise ValueError(f"{args.kind} config must be a JSON object, got {json.dumps(payload)}")
     if seed_given:
         payload["seed"] = _resolve_seed(args)
     if args.threads is not None:

@@ -8,13 +8,15 @@ original network sizes and no adjacency access of any kind (the record types
 simply do not hold adjacency). Entries whose p-value clears the screening
 level are the candidate matches.
 
-A query scores the whole store in one pass over arrays. A store holds each
-motif's entries as float64 columns, sorted by id (`storecols`);
-`rng.spawn_normals` gives every entry the smoothing draw of its own (seed,
-"query-delta", id) stream, by numpy's seeding arithmetic over all ids and
-one reused PCG64; and `inference.two_sample_p_values` runs the pair
-formulas once over the columns. Each p-value has the bits that
-`two_sample_test` gives the pair alone.
+A store in memory (`HashDb`) is its columns: each motif's entries as
+float64 columns sorted by id (`storecols`), from which its records are
+built on first read, however the store was made. A query scores the whole
+store in one pass over them: `rng.spawn_normals` gives every entry the
+smoothing draw of its own (seed, "query-delta", id) stream, by numpy's
+seeding arithmetic over all ids and one reused PCG64, and
+`inference.two_sample_p_values` runs the pair formulas once over the
+columns. Each p-value has the bits that `two_sample_test` gives the pair
+alone.
 
 The store is an append-only NDJSON file: one JSON object per line, floats
 serialized by shortest-roundtrip repr so the decimal text recovers the exact
@@ -67,13 +69,16 @@ class HashRecord:
         return sorted(self.summaries)
 
     def validate(self) -> None:
-        if self.schema_version != SCHEMA_VERSION:
-            raise DbFormatError(f"unsupported schema_version {self.schema_version}")
+        self._check_version()
         if not self.summaries:
             raise DbFormatError(f"record {self.network_id!r} has no summaries")
         for name, summary in self.summaries.items():
             self._check_filed(name, summary)
             summary.validate()
+
+    def _check_version(self) -> None:
+        if self.schema_version != SCHEMA_VERSION:
+            raise DbFormatError(f"unsupported schema_version {self.schema_version}")
 
     def _check_filed(self, name: str, summary: NetworkSummary) -> None:
         """Raise DbFormatError unless the summary is filed under its motif's
@@ -96,49 +101,55 @@ class QueryHit:
 
 
 class HashDb:
-    """A store in memory: each motif's entries as columns, which a query
-    reads, and its records.
+    """A store in memory, which is its columns: each record's id, n and
+    created_at, in records order (`ids`, `ns`, `created_ats`), the motif
+    names of a row not in name order (`orders`), and each motif's entries,
+    sorted by id, as `storecols.Entries` (`entries`). `records` are built
+    from the columns on first read, however the store was made.
 
-    HashDb(records) builds the columns of the records, keyed by their ids,
-    once, and keeps the records as given. It refuses, with DbFormatError, a
-    record not filed under its network_id, and a summary not filed under its
-    motif's name or not carrying its record's network_id and n
-    (`HashRecord._check_filed`), but checks no value's range. `db_load`
-    gives a store of columns alone, whose `records` are built from them on
-    first read and then kept.
+    HashDb(records) keeps no reference to the dict. It refuses, with
+    DbFormatError, a record not filed under its network_id or of another
+    schema_version, and a misfiled summary (`HashRecord._check_filed`), but
+    checks no value's range.
     """
 
     def __init__(self, records: dict[str, HashRecord] | None = None, _columns=None):
         if _columns is None:
-            from .storecols import columns_of
+            from .storecols import Rows, _decoded_record
 
+            rows = Rows(None)
             for key, rec in records.items():
                 if key != rec.network_id:
-                    raise DbFormatError(
-                        f"record {rec.network_id!r} filed under key {key!r}")
+                    raise DbFormatError(f"record {rec.network_id!r} filed under key {key!r}")
+                rec._check_version()
                 for name, summary in rec.summaries.items():
                     rec._check_filed(name, summary)
-            _columns = columns_of(records)
-            self.records = records
-        self._columns = _columns  # a `storecols.Columns`
+                rows.add(0, *_decoded_record(rec))
+            _columns = rows.columns(*rows.arrays())
+        self.ids, self.ns, self.created_ats, self.orders, self.entries = _columns
 
     @functools.cached_property
     def records(self) -> dict[str, HashRecord]:
-        return self._columns.records()
+        summaries = [{} for _ in self.ids]
+        with _gc_paused():
+            for name, e in sorted(self.entries.items()):
+                for row, *fields in zip(e.row.tolist(), e.ids, e.n.tolist(), e.motif_r.tolist(),
+                                        e.motif_s.tolist(),
+                                        *(getattr(e, f).tolist() for f in SUMMARY_FIELDS)):
+                    summaries[row][name] = NetworkSummary(fields[0], fields[1], name, *fields[2:])
+            for row, names in self.orders.items():
+                summaries[row] = {name: summaries[row][name] for name in names}
+            return dict(zip(self.ids, map(HashRecord, self.ids, self.ns, self.created_ats,
+                                          summaries)))
 
     def __len__(self) -> int:
-        return len(self._columns.ids)
+        return len(self.ids)
 
     def with_motif(self, motif_name: str) -> list[HashRecord]:
         return [
             rec for _, rec in sorted(self.records.items())
             if motif_name in rec.summaries
         ]
-
-    def _entries(self, motif_name: str):
-        """The store's entries with a summary of the motif, as a
-        `storecols.Entries` in id order, or None if there are none."""
-        return self._columns.entries.get(motif_name)
 
 
 def hash_network(g: Graph, motifs: list[Motif], network_id: str) -> HashRecord:
@@ -394,7 +405,7 @@ def query(
     if motif_name not in keyword.summaries:
         raise ValueError(f"keyword record has no summary for motif {motif_name!r}")
     ka = keyword.summaries[motif_name]
-    entries = db._entries(motif_name)
+    entries = db.entries.get(motif_name)
     if entries is None:
         return []
     with _gc_paused():

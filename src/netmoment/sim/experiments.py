@@ -30,6 +30,8 @@ import json
 import os
 import sys
 import time
+import types
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -278,8 +280,8 @@ def _d_true(cfg, motif: Motif) -> float:
 
 @dataclass(frozen=True)
 class CdfConfig(PairConfig):
-    motif: str = "triangle"
-    sizes: tuple = ((40, 40), (80, 80), (160, 160))
+    motif: str | dict = "triangle"
+    sizes: tuple[tuple[int, int], ...] = ((40, 40), (80, 80), (160, 160))
     reps: int = 10_000
     grid_lo: float = -2.0
     grid_hi: float = 2.0
@@ -387,11 +389,11 @@ def run_cdf_experiment(cfg: CdfConfig) -> SimResult:
 
 @dataclass(frozen=True)
 class CoverageConfig(PairConfig):
-    motifs: tuple = ("triangle",)
-    sizes: tuple = ((160, 160),)
+    motifs: tuple[str | dict, ...] = ("triangle",)
+    sizes: tuple[tuple[int, int], ...] = ((160, 160),)
     level: float = 0.90
     reps: int = 5000
-    methods: tuple = ("edgeworth", "normal")
+    methods: tuple[str, ...] = ("edgeworth", "normal")
     centering: str = "exact"
     n_mc_centering: int = 400_000
 
@@ -403,6 +405,11 @@ class CoverageConfig(PairConfig):
         bad = set(self.methods) - {"edgeworth", "normal", "subsample", "resample"}
         if bad:
             raise ValueError(f"unknown coverage methods {sorted(bad)}")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError(f"repeated coverage method in {list(self.methods)}")
+        names = [motif_from_spec(spec).name for spec in self.motifs]
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate motif names in {list(self.motifs)}: {names}")
 
 
 def _coverage_chunk(cfg: CoverageConfig, m: int, n: int, d_true: dict, lo: int, hi: int):
@@ -512,13 +519,13 @@ def run_coverage_experiment(cfg: CoverageConfig) -> SimResult:
 
 @dataclass(frozen=True)
 class QueryBenchConfig:
-    graphons: tuple = QUERY_DB_GRAPHONS
+    graphons: tuple[str, ...] = QUERY_DB_GRAPHONS
     entries_per_graphon: int = 20
     n: int = 400
     rho: float = 0.4
-    motif: str = "triangle"
+    motif: str | dict = "triangle"
     alpha: float = 0.05
-    keywords: tuple = ("BlockModel-1", "SmoothGraphon-6")
+    keywords: tuple[str, ...] = ("BlockModel-1", "SmoothGraphon-6")
     null_pairs: int = 0
     null_graphon: str = "SmoothGraphon-1"
     c_delta: float = 0.01
@@ -673,7 +680,7 @@ def run_query_benchmark(cfg: QueryBenchConfig) -> SimResult:
 class BootstrapRunConfig(PairConfig):
     m: int = 80
     n: int = 80
-    motif: str = "triangle"
+    motif: str | dict = "triangle"
     mode: str = "subsample"
     m_sub: int | None = None
     n_sub: int | None = None
@@ -716,17 +723,36 @@ EXPERIMENTS = {
 }
 
 
+def _is_json_of(value, kind) -> bool:
+    """Whether a JSON value has the type a config field is annotated with: a
+    float field takes any number, an int field an integer but not true or
+    false, and a tuple field a list of its items."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is tuple:
+        if type(value) is not list:
+            return False
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        return len(value) == len(items) and all(map(_is_json_of, value, items))
+    if origin is types.UnionType:
+        return any(_is_json_of(value, arg) for arg in args)
+    return type(value) in ((int, float) if kind is float else (kind,))
+
+
 def config_from_dict(kind: str, payload: dict):
     try:
         cls, _ = EXPERIMENTS[kind]
     except KeyError:
         raise ValueError(f"unknown experiment {kind!r}; known: {sorted(EXPERIMENTS)}")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(payload) - known
+    annotations = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(payload) - set(annotations)
     if unknown:
         raise ValueError(f"unknown config keys for {kind}: {sorted(unknown)}")
+    kinds = typing.get_type_hints(cls)
     coerced = {}
     for key, value in payload.items():
+        if not _is_json_of(value, kinds[key]):
+            raise ValueError(f"{kind} config key {key!r} must be {annotations[key]}, "
+                             f"got {json.dumps(value)}")
         if isinstance(value, list):
             value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
         coerced[key] = value

@@ -2,7 +2,7 @@
 
 The target is rho^-s * E[h] under the graphon model. Conditional on the
 latent positions, h's expectation is computed exactly by enumerating all
-2^C(r,2) edge configurations against the containment indicator (with clamped
+2^C(r,2) edge configurations against the containment table (with clamped
 edge probabilities); the outer expectation over latents is either Monte Carlo
 (the generic route, with a standard error) or deterministic: exact community
 enumeration for block models and tensor Gauss-Legendre quadrature for smooth
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..motif import Motif, contains_motif
+from ..motif import Motif, _containment
 from .graphons import Graphon, gl_nodes
 
 
@@ -34,18 +34,12 @@ class MomentEstimate:
 
 
 def _containment_terms(motif: Motif) -> list[tuple[int, ...]]:
-    """Bitmasks (one flag per node pair) of edge configurations containing the motif."""
-    r = motif.r
-    pairs = list(itertools.combinations(range(r), 2))
-    hits = []
-    for mask in range(2 ** len(pairs)):
-        sub = np.zeros((r, r), dtype=bool)
-        for bit, (a, b) in enumerate(pairs):
-            if mask >> bit & 1:
-                sub[a, b] = sub[b, a] = True
-        if contains_motif(sub, motif):
-            hits.append(tuple(mask >> bit & 1 for bit in range(len(pairs))))
-    return hits
+    """The edge configurations that contain the motif, in the order of their
+    codes in `motif._containment`, each as one flag per node pair in
+    `itertools.combinations` order."""
+    n_pairs = motif.r * (motif.r - 1) // 2
+    return [tuple(code >> bit & 1 for bit in range(n_pairs))
+            for code in np.flatnonzero(_containment(motif)).tolist()]
 
 
 def conditional_containment_prob(p_edges: list[np.ndarray], motif: Motif) -> np.ndarray:

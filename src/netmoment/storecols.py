@@ -1,4 +1,4 @@
-"""A store as per-motif float64 columns, the one form a `HashDb` holds.
+"""The columns of a store, which are all that a `HashDb` holds.
 
 `hashdb.db_load` reads a store here. Each line is decoded by one `json`
 call. A line whose every value has the type `record_to_json` writes goes
@@ -7,9 +7,10 @@ built; after the last line the ranges that `NetworkSummary.validate`
 checks are checked over whole columns. Any other line, and the first line
 that the column check refuses, goes through `hashdb.record_from_json`, so
 every error keeps its message and line number. `HashDb(records)` feeds its
-records through the same rows, with no range check. The store keeps, per
-motif, its entries sorted by id (`Entries`, the columns a query reads); a
-loaded store builds its records from them only when they are read.
+records through the same rows, with no range check. Per motif, a store's
+entries are sorted by id (`Entries`, the columns a query reads); its
+records are built from the columns only when they are read, however the
+store was made.
 
 A process that neither loads nor queries a store (`netmoment hash`, which
 only appends, and `simulate cdf` or `coverage`) never imports this module,
@@ -22,7 +23,6 @@ import itertools
 import json
 import operator
 from array import array
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -60,33 +60,6 @@ def _ints(values) -> np.ndarray:
         return np.array(values, dtype=np.int64)
     except OverflowError:
         return np.array(values, dtype=object)
-
-
-@dataclass
-class Columns:
-    """A store: the id, n and created_at of each record, in records order;
-    the motif names of a record whose line did not sort them; and each
-    motif's Entries."""
-
-    ids: list[str]
-    ns: list[int]
-    created_ats: list[str]
-    orders: dict[int, list[str]]
-    entries: dict[str, Entries]
-
-    def records(self) -> dict[str, HashRecord]:
-        """The records, built from the columns."""
-        summaries = [{} for _ in self.ids]
-        with _gc_paused():
-            for name, e in sorted(self.entries.items()):
-                for row, *fields in zip(e.row.tolist(), e.ids, e.n.tolist(), e.motif_r.tolist(),
-                                        e.motif_s.tolist(),
-                                        *(getattr(e, f).tolist() for f in SUMMARY_FIELDS)):
-                    summaries[row][name] = NetworkSummary(fields[0], fields[1], name, *fields[2:])
-            for row, names in self.orders.items():
-                summaries[row] = {name: summaries[row][name] for name in names}
-            return dict(zip(self.ids, map(HashRecord, self.ids, self.ns, self.created_ats,
-                                          summaries)))
 
 
 # A line as record_to_json writes it: decoded by one call, then checked
@@ -128,14 +101,6 @@ def _decoded_record(rec: HashRecord) -> tuple:
     """A record as `_decoded` gives a line."""
     return (rec.network_id, rec.n, rec.created_at,
             [(name, s.motif_r, s.motif_s, _floats_of(s)) for name, s in rec.summaries.items()])
-
-
-def columns_of(records: dict[str, HashRecord]) -> Columns:
-    """`HashDb(records)`'s columns: the records as rows, in the given order."""
-    rows = Rows(None)
-    for rec in records.values():
-        rows.add(0, *_decoded_record(rec))
-    return rows.columns(*rows.arrays())
 
 
 class Rows:
@@ -201,9 +166,9 @@ class Rows:
                 raise DbFormatError(f"{self.path}: line {lineno}: {exc}") from exc
             raise DbFormatError(f"{self.path}: line {lineno}: changed while loading")
 
-    def columns(self, n, motifs) -> Columns:
-        """The store of the rows' `arrays`, each id's latest row in its first
-        row's place."""
+    def columns(self, n, motifs) -> tuple:
+        """The `HashDb` columns (ids, ns, created_ats, orders, entries) of
+        the rows' `arrays`, each id's latest row in its first row's place."""
         latest = np.fromiter(self.latest.values(), np.intp, len(self.latest))
         place = np.full(len(self.ids), -1)
         place[latest] = np.arange(len(latest))
@@ -219,8 +184,8 @@ class Rows:
                 motif_r=r[kept], motif_s=s[kept],
                 **dict(zip(SUMMARY_FIELDS, np.ascontiguousarray(table[kept].T))))
         orders = {int(place[row]): names for row, names in self.orders.items() if place[row] >= 0}
-        return Columns(*([column[i] for i in latest.tolist()]
-                         for column in (self.ids, self.ns, self.created_ats)), orders, entries)
+        return (*([column[i] for i in latest.tolist()]
+                  for column in (self.ids, self.ns, self.created_ats)), orders, entries)
 
 
 def load(path) -> HashDb:

@@ -268,6 +268,63 @@ def test_simulate_seed_flag_overrides_config(capsys, tmp_path):
     assert json.loads(out)["meta"]["seed"] == 77
 
 
+def run_simulate(capsys, monkeypatch, tmp_path, kind, payload, *argv):
+    monkeypatch.delenv("NETMOMENT_SEED", raising=False)
+    cfg_path = tmp_path / f"{kind}.json"
+    cfg_path.write_text(json.dumps(payload))
+    return run_cli(capsys, "simulate", kind, "--config", str(cfg_path), *argv)
+
+
+@pytest.mark.parametrize("edit", [
+    {"seed": 1.5}, {"seed": True}, {"n_jobs": 1.5}, {"reps": "2000"}, {"reps": 1000.5},
+    {"rho_a": "0.3"}, {"grid_points": 2.5}, {"sizes": [[20.5, 20]]}, [1, 2],
+], ids=json.dumps)
+def test_simulate_refuses_a_config_value_of_the_wrong_type(capsys, monkeypatch, tmp_path,
+                                                           edit):
+    # a value of another JSON type is a data error, neither truncated nor a
+    # crash; a top-level list also meets the --seed override
+    payload, argv = edit, ("--seed", "3")
+    if isinstance(edit, dict):
+        payload, argv = {"sizes": [[20, 20]], "reps": 1000, "seed": 1, "n_jobs": 1, **edit}, ()
+    code, out, err = run_simulate(capsys, monkeypatch, tmp_path, "cdf", payload, *argv)
+    assert code == 1 and out == ""
+    error = json.loads(err.splitlines()[-1])
+    assert error["kind"] == "data"
+    if isinstance(edit, dict):
+        (key, value), = edit.items()
+        assert f"{key!r}" in error["error"] and json.dumps(value) in error["error"]
+    else:
+        assert "[1, 2]" in error["error"]
+
+
+@pytest.mark.filterwarnings("ignore:rho=1 clamps:RuntimeWarning")
+@pytest.mark.parametrize("edit", [
+    {"rho_a": 1},
+    {"motif": {"name": "four-cycle",
+               "pattern": [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]]},
+     "sizes": [[10, 10]], "n_mc_centering": 20_000},
+], ids=["int-rho", "four-cycle"])
+def test_simulate_runs_a_config_value_of_its_type(capsys, monkeypatch, tmp_path, edit):
+    payload = {"sizes": [[20, 20]], "reps": 1000, "seed": 1, "n_jobs": 1, **edit}
+    code, out, _ = run_simulate(capsys, monkeypatch, tmp_path, "cdf", payload)
+    assert code == 0
+    assert json.loads(out)["meta"]["config"]["motif"] == edit.get("motif", "triangle")
+
+
+@pytest.mark.parametrize("edit", [
+    {"methods": ["normal", "normal"]},
+    {"motifs": ["triangle", "triangle"]},
+    {"motifs": ["vshape", "2-star"]},
+], ids=["method", "motif", "motif-alias"])
+def test_simulate_coverage_refuses_a_repeated_method_or_motif(capsys, monkeypatch, tmp_path,
+                                                             edit):
+    # a repeat would count each replicate twice
+    payload = {"sizes": [[25, 25]], "reps": 200, "seed": 3, "n_jobs": 1, **edit}
+    code, out, err = run_simulate(capsys, monkeypatch, tmp_path, "coverage", payload)
+    assert code == 1 and out == ""
+    assert json.loads(err.splitlines()[-1])["kind"] == "data"
+
+
 def test_query_never_touches_adjacency_after_hashing(capsys, tmp_path, two_files,
                                                      monkeypatch):
     """After the keyword is hashed, no moment computation may see a Graph."""
@@ -328,8 +385,9 @@ HASH_CSV = "netmoment.cli; assert netmoment.cli.main(sys.argv[1:]) == 0"
     "module", ["netmoment", "netmoment.cli", pytest.param(HASH_CSV, id="hash-csv")],
 )
 def test_import_leaves_scipy_and_harness_unloaded(module, tmp_path):
-    # only `ci` and `simulate` need scipy, and only `simulate` needs the harness;
-    # the hash-csv case also runs `hash --format csv`
+    # only `ci` and `simulate` need scipy, only `simulate` needs the harness,
+    # and only a load or a query needs the store's columns (`storecols`); the
+    # hash-csv case also runs `hash --format csv`
     edges = tmp_path / "edges.txt"
     nm.save_edge_list(random_graph(12, 0.5, spawn_rng(3, "csv-import")), edges)
     argv = ["hash", "--input", str(edges), "--motifs", "triangle", "--id", "a",
@@ -337,7 +395,8 @@ def test_import_leaves_scipy_and_harness_unloaded(module, tmp_path):
     src = str(Path(nm.__file__).resolve().parent.parent)
     code = (f"import sys, {module}; "
             "print([m for m in ('scipy.special', 'scipy.stats', 'scipy.sparse', "
-            "'netmoment.sim.experiments', 'concurrent.futures.process') "
+            "'netmoment.sim.experiments', 'concurrent.futures.process', "
+            "'netmoment.storecols') "
             "if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,

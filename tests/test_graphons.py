@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -16,6 +17,7 @@ from netmoment.sim import (
     sample_network,
 )
 from netmoment.sim.graphons import normalization_integral
+from netmoment.sim.oracle import _containment_terms
 
 from oracles import frozen_population_moment_exact, frozen_sample_network
 
@@ -226,3 +228,22 @@ def test_population_moment_exact_matches_frozen_oracle_bit_for_bit(name):
                 got = population_scaled_moment_exact(graphon, motif, rho)
                 want = frozen_population_moment_exact(graphon, motif, rho)
             assert got.hex() == want.hex(), (motif.name, rho)
+
+
+@pytest.mark.parametrize("motif", [
+    EDGE, VSHAPE, TRIANGLE,
+    nm.Motif("four-cycle", np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]])),
+    nm.Motif("five-path", np.eye(5, k=1, dtype=bool) | np.eye(5, k=-1, dtype=bool)),
+], ids=lambda motif: motif.name)
+def test_containment_terms_match_the_containment_indicator(motif):
+    # every edge set of the r nodes, in pair-bit order, through contains_motif
+    pairs = list(itertools.combinations(range(motif.r), 2))
+    want = []
+    for mask in range(1 << len(pairs)):
+        flags = tuple(mask >> bit & 1 for bit in range(len(pairs)))
+        sub = np.zeros((motif.r, motif.r), dtype=bool)
+        for flag, (a, b) in zip(flags, pairs):
+            sub[a, b] = sub[b, a] = bool(flag)
+        if nm.contains_motif(sub, motif):
+            want.append(flags)
+    assert _containment_terms(motif) == want

@@ -648,6 +648,54 @@ def test_built_store_refuses_a_record_not_filed_under_its_id(keys):
     assert str(info.value) == f"record 'ok' filed under key {bad!r}"
 
 
+def test_built_store_refuses_another_schema_version():
+    # the columns hold schema 1 alone, so a record of another version would
+    # be queried as schema 1
+    bad = dataclasses.replace(_good_record(), schema_version=2)
+    with pytest.raises(DbFormatError) as want:
+        bad.validate()
+    with pytest.raises(DbFormatError) as got:
+        HashDb({"ok": bad})
+    assert str(got.value) == str(want.value) == "unsupported schema_version 2"
+
+
+@pytest.mark.parametrize("change", ["clear", "extend"])
+def test_built_store_is_its_columns_not_the_given_dict(change):
+    records = {nid: _builder_record(nid, 40, [("triangle", 3, 3)], k)
+               for k, nid in enumerate(["net-b", "net-a", "net-c"])}
+    want = dict(records)
+    keyword = records["net-a"]
+    db = HashDb(records)
+    hits = _query_outcome(keyword, db, "triangle")
+    if change == "clear":
+        records.clear()
+    else:
+        records["net-d"] = _builder_record("net-d", 40, [("triangle", 3, 3)], 9)
+    assert len(db) == 3
+    assert db.records == want
+    assert list(db.records) == ["net-b", "net-a", "net-c"]
+    assert _query_outcome(keyword, db, "triangle") == hits
+
+
+def test_built_store_records_equal_the_given_records():
+    spoiled = _good_record()
+    spoiled = dataclasses.replace(spoiled, network_id="spoiled", summaries={
+        "triangle": dataclasses.replace(spoiled.summaries["triangle"], network_id="spoiled",
+                                        rho_hat=2.0)})
+    records = [
+        _builder_record("net-c", 60, [("triangle", 3, 3), ("vshape", 3, 2)], 1),
+        nm.hash_network(random_graph(15, 0.5, spawn_rng(5, "c")), [nm.VSHAPE, nm.TRIANGLE],
+                        "both"),
+        spoiled,
+        _builder_record("net-a", 10**120, [("edge", 2, 1), ("cycle4", 4, 4)], 3),
+    ]
+    given = {rec.network_id: rec for rec in records}
+    got = HashDb(given).records
+    assert got == given
+    # every id, field, value and type, in the given key and motif order
+    assert _fields(got) == _fields(given)
+
+
 def test_db_load_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
     path = tmp_path / "db.ndjson"
     path.write_bytes(b"\xff\n")
@@ -871,7 +919,7 @@ def test_loaded_and_built_stores_hold_the_same_columns(tmp_path):
     assert len(loaded) == len(built) == len(records)
     motifs = ("cycle4", "edge", "triangle", "vshape")
     for motif in motifs:
-        got, want = loaded._entries(motif), built._entries(motif)
+        got, want = loaded.entries.get(motif), built.entries.get(motif)
         assert got.ids == want.ids == sorted(got.ids)
         assert got.motif_name == want.motif_name == motif
         for name in ("n", "motif_r", "motif_s", *SUMMARY_FIELDS):
@@ -881,7 +929,7 @@ def test_loaded_and_built_stores_hold_the_same_columns(tmp_path):
                 assert a.view(np.int64).tolist() == b.view(np.int64).tolist()
             else:
                 assert a.tolist() == b.tolist()
-    assert loaded._entries("edge").n.dtype == object  # 10**120 has no int64
+    assert loaded.entries.get("edge").n.dtype == object  # 10**120 has no int64
     assert loaded.records == built.records
     assert list(loaded.records["net-c"].summaries) == ["vshape", "triangle"]
     for motif, keyword in zip(motifs, (records[2], records[4], records[1], records[1])):

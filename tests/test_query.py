@@ -141,7 +141,7 @@ def test_spoiled_entry_raises_what_the_entry_loop_raises(store, kind, c_delta):
     else:
         assert got[0] is raises
     if kind == "flagged, no error":
-        entry = HashDb(records={"small-010": db.records["small-010"]})._entries("triangle")
+        entry = HashDb(records={"small-010": db.records["small-010"]}).entries.get("triangle")
         _, ok = two_sample_p_values(keyword.summaries["triangle"], entry, 0.05, c_delta,
                                     np.zeros(1))
         assert not ok[0]
