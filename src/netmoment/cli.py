@@ -58,15 +58,17 @@ def _nonnegative(text: str) -> float:
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    env = os.environ.get("NETMOMENT_SEED")
-    if env is not None:
+    source, seed = "--seed", getattr(args, "seed", None)
+    if seed is None and (env := os.environ.get("NETMOMENT_SEED")) is not None:
         try:
-            return int(env)
+            source, seed = "NETMOMENT_SEED", int(env)
         except ValueError as exc:
             raise UsageError(f"NETMOMENT_SEED must be an integer, got {env!r}") from exc
-    return secrets.randbits(32)
+    if seed is None:
+        return secrets.randbits(32)
+    if not 0 <= seed < 2**64:  # the streams read a seed modulo 2**64
+        raise UsageError(f"{source} must lie in 0 <= seed < 2**64, got {seed}")
+    return seed
 
 
 def _parse_motifs(spec: str):

@@ -10,11 +10,11 @@ own summation order. All population
 quantities are replaced by their plug-in estimates.
 
 One kernel (`_summaries`) summarizes a graph for every motif of a call at
-once. Each motif builds its node terms; then a single walk over the leaves
-of numpy's summation tree builds each leaf's motif-free blocks once (the
-grho2 rows, and the rows of A @ A that the r = 3 closed forms read, views
-of the store the node pass left, which the read of the last row releases),
-and every live motif adds its own pair terms to them. The motifs' leaf
+once, from at most one node pass over A @ A, which it frees on return. Each
+motif builds its node terms; then a single walk over the leaves of numpy's
+summation tree builds each leaf's motif-free blocks once (the grho2 rows,
+and the rows of A @ A that the r = 3 closed forms read, from the pass), and
+every live motif adds its own pair terms to them. The motifs' leaf
 sums are added as one small array, element by element, so each summary
 keeps the bits it has alone, and a motif that fails (too few nodes, an
 empty or complete graph, an overflow) is dropped alone with the error
@@ -276,7 +276,8 @@ def summarize(g: Graph, motif: Motif, network_id: str = "") -> NetworkSummary:
     and reduced at once, so no m x m float array is ever alive; the blocks
     follow numpy's summation order, so the result has the bits of a sum over
     the full matrices. This is the kernel of `summarize_many` and
-    `hash_network`, run on one graph and one motif.
+    `hash_network` on one graph and one motif; a graph's motifs share its
+    A @ A pass only within one call of those, and two calls here run it twice.
     """
     result, = _summaries(g, [motif], [network_id])
     if isinstance(result, Exception):
@@ -295,11 +296,10 @@ def summarize_many(graphs, motifs: list[Motif]) -> list[list]:
     each reduction sums every graph's row as it sums that graph alone, so
     each summary has the bits of `summarize`. The kernel takes a stack once
     for all the motifs, so they share its A @ A pass and its motif-free pair
-    blocks; the stack's last leaf releases the pass's store of A @ A, so a
-    stack keeps only its per-node counts. A GraphStack whose every member is
-    live is that stack itself. A motif that fails on a stack (a member's
-    arithmetic overflowed) is redone one graph at a time; a graph summarized
-    alone also takes all its motifs in one call.
+    blocks; the pass is freed when that call returns. A GraphStack whose
+    every member is live is that stack itself. A motif that fails on a stack
+    (a member's arithmetic overflowed) is redone one graph at a time; a graph
+    summarized alone also takes all its motifs in one call.
     """
     given = isinstance(graphs, GraphStack)
     if not given:
@@ -366,10 +366,12 @@ def _summaries(g: Graph | GraphStack, motifs: list[Motif], network_ids: list) ->
     broadcasts over the stack as written for one graph.
     """
     results = [None] * len(motifs)
+    reads = any(_reads_two_walks(motif) and g.m > motif.r for motif in motifs)
+    walks = _two_walks(g) if reads else None
     terms = {}
     for k, motif in enumerate(motifs):
         try:
-            terms[k] = _MotifTerms(g, motif)
+            terms[k] = _MotifTerms(g, motif, walks)
         except (ValueError, ArithmeticError) as exc:
             results[k] = exc
     if not terms:
@@ -387,7 +389,7 @@ def _summaries(g: Graph | GraphStack, motifs: list[Motif], network_ids: list) ->
             return leaf
         grm2 = grho2_matrix(g, ps, lo, hi)
         reads_rows = any(_reads_two_walks(t.motif) for t in terms.values())
-        rows = _two_walks(g).counts(lo, hi) if reads_rows else None
+        rows = walks.counts(lo, hi) if reads_rows else None
         for k, t in list(terms.items()):
             try:
                 leaf[k] = t.leaf_sum(lo, hi, cells, grm2, rows)
@@ -409,12 +411,12 @@ class _MotifTerms:
     """One motif's part of the summary kernel: its node terms, its pair terms
     one leaf at a time, and then its summaries."""
 
-    def __init__(self, g: Graph | GraphStack, motif: Motif):
+    def __init__(self, g: Graph | GraphStack, motif: Motif, walks):
         if g.m < motif.r + 1:
             raise DegenerateGraphError(f"m={g.m} too small for motif r={motif.r}")
         self.g, self.motif = g, motif
         self.stacked = stacked = isinstance(g, GraphStack)
-        self.census = moment_census(g, motif)
+        self.census = moment_census(g, motif, _walks=walks)
         self.ps = ps = project(g, motif, _census=self.census)
         if _any(ps.rho_hat >= 1.0):
             raise DegenerateGraphError("degenerate sparsity: complete graph (rho_hat = 1)")

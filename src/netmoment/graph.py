@@ -34,11 +34,10 @@ class Graph:
 
     `adj` is an (m, m) boolean array, symmetric with a false diagonal. The
     array is frozen (writeable=False) after construction; treat the whole
-    object as immutable. Values derived from `adj` are cached on first use:
-    `degrees`, and the A @ A node pass of the motif census (`_two_walks`).
+    object as immutable. Its degrees are computed on first use and kept.
     """
 
-    __slots__ = ("adj", "m", "load_report", "_degrees", "_two_walks")
+    __slots__ = ("adj", "m", "load_report", "_degrees")
 
     def __init__(self, adj: np.ndarray, load_report: LoadReport | None = None, *,
                  _owned: bool = False):
@@ -58,7 +57,6 @@ class Graph:
         self.m = adj.shape[0]
         self.load_report = load_report
         self._degrees = None
-        self._two_walks = None
 
     @property
     def degrees(self) -> np.ndarray:
@@ -116,12 +114,10 @@ class GraphStack:
     sampler's own arrays); its `graphs` are then built only if asked for.
     The motif census, the projections and the pair rows take a stack
     wherever they take a Graph; each value they return then has the batch
-    axis, and a scalar becomes a (B,) array. A stack caches its own A @ A
-    node pass, one batched product over every member; the members' own
-    caches are left untouched.
+    axis, and a scalar becomes a (B,) array.
     """
 
-    __slots__ = ("m", "adj", "degrees", "_graphs", "_two_walks")
+    __slots__ = ("m", "adj", "degrees", "_graphs")
 
     def __init__(self, graphs):
         if isinstance(graphs, np.ndarray):
@@ -135,7 +131,6 @@ class GraphStack:
         self.adj = adj
         self.m = adj.shape[-1]
         self.degrees = adj.sum(axis=-1)
-        self._two_walks = None
 
     def __len__(self) -> int:
         return len(self.adj)

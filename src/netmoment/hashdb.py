@@ -69,16 +69,16 @@ class HashRecord:
         return sorted(self.summaries)
 
     def validate(self) -> None:
-        self._check_version()
-        if not self.summaries:
-            raise DbFormatError(f"record {self.network_id!r} has no summaries")
+        self._check_header()
         for name, summary in self.summaries.items():
             self._check_filed(name, summary)
             summary.validate()
 
-    def _check_version(self) -> None:
+    def _check_header(self) -> None:
         if self.schema_version != SCHEMA_VERSION:
             raise DbFormatError(f"unsupported schema_version {self.schema_version}")
+        if not self.summaries:
+            raise DbFormatError(f"record {self.network_id!r} has no summaries")
 
     def _check_filed(self, name: str, summary: NetworkSummary) -> None:
         """Raise DbFormatError unless the summary is filed under its motif's
@@ -108,9 +108,9 @@ class HashDb:
     from the columns on first read, however the store was made.
 
     HashDb(records) keeps no reference to the dict. It refuses, with
-    DbFormatError, a record not filed under its network_id or of another
-    schema_version, and a misfiled summary (`HashRecord._check_filed`), but
-    checks no value's range.
+    DbFormatError, a record not filed under its network_id, of another
+    schema_version or with no summaries, and a misfiled summary
+    (`HashRecord._check_filed`), but checks no value's range.
     """
 
     def __init__(self, records: dict[str, HashRecord] | None = None, _columns=None):
@@ -121,7 +121,7 @@ class HashDb:
             for key, rec in records.items():
                 if key != rec.network_id:
                     raise DbFormatError(f"record {rec.network_id!r} filed under key {key!r}")
-                rec._check_version()
+                rec._check_header()
                 for name, summary in rec.summaries.items():
                     rec._check_filed(name, summary)
                 rows.add(0, *_decoded_record(rec))

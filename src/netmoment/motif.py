@@ -175,34 +175,29 @@ class _TwoWalks:
       block holds every row, A @ A is one float32 product of the copy with
       itself, which sgemm runs faster than A @ A.T.
 
-    One array, the store, holds A @ A from the node pass on: the half
-    product's float32 array (4 bytes a pair), or a CSR graph's block when
-    one block holds every row. `counts` gives views of it, and the read
-    that ends at row m, the last leaf of the summaries' walk, releases it; a
-    later read builds the rows again. After a summary call the pass thus
-    holds only its two per-node arrays, unless no motif that reads A @ A got
-    as far as the leaves: then the store stays until the graph is dropped.
+    The store holds A @ A when one array does: the half product's float32
+    array (4 bytes a pair), or a CSR graph's block when one block holds
+    every row; `counts` gives views of it. A pass is held by the call that
+    builds it and freed when that call returns: the summary kernel builds
+    one per call for all its motifs, a census called alone its own.
     """
 
     def __init__(self, g: Graph | GraphStack, sparse: bool):
         adj, m = g.adj, g.m
-        self._adj, self._m = adj, m
-        self._sparse = sparse
-        self._store = None  # A @ A, from the node pass to the read of row m
-        self._walk = self._iota = None  # positions and cells of a block's walks
-        self._out = None  # float64 rows of a block
+        self._adj, self._m, self._sparse = adj, m, sparse
+        self._store = None  # A @ A, when one array holds it
+        # a CSR block's walks (positions and cells) and its float64 rows
+        self._walk = self._iota = self._out = None
         tri2 = np.empty(g.degrees.shape)
         walks = np.empty(g.degrees.shape)
         if sparse:
             self._nbr = np.nonzero(adj)[1]  # row-major, so grouped by row
             self._start = np.zeros(m + 1, dtype=np.int64)
             np.cumsum(g.degrees, out=self._start[1:])
-            step = max(1, _BLOCK // m)
-            blocks = ((lo, self.counts(lo, min(lo + step, m))) for lo in range(0, m, step))
-        else:  # read the store as it is: `counts` would release it at row m
-            blocks = ((lo, self._store[..., lo:hi, :]) for lo, hi in self._half_product())
-        for lo, n2 in blocks:
-            hi = lo + n2.shape[-2]
+        step = max(1, _BLOCK // m)  # rows of a CSR block
+        csr_blocks = ((lo, min(lo + step, m)) for lo in range(0, m, step))
+        for lo, hi in csr_blocks if sparse else self._half_product():
+            n2 = self.counts(lo, hi)
             # exact in float32 too (at most m), and summed exactly in float64
             tri2[..., lo:hi] = (n2 * adj[..., lo:hi, :]).sum(axis=-1, dtype=np.float64)
             walks[..., lo:hi] = n2.sum(axis=-1, dtype=np.float64)
@@ -228,21 +223,12 @@ class _TwoWalks:
             a[..., lo:hi, :lo] = a[..., :lo, lo:hi].swapaxes(-1, -2)
             yield lo, hi
 
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo:hi of A @ A as float64."""
-        return self.counts(lo, hi).astype(np.float64, copy=False)
-
     def counts(self, lo: int, hi: int) -> np.ndarray:
         """Rows lo:hi of A @ A as they are held: a view of the store,
-        float32 for the half product, or a CSR block of float64 rows."""
-        if self._store is None and not self._sparse:
-            for _ in self._half_product():
-                pass
+        float32 for the half product, or a CSR block of float64 rows, valid
+        until the next call."""
         if self._store is not None:
-            n2 = self._store[..., lo:hi, :]
-            if hi == self._m:  # every pass ends with the last row
-                self._store = None
-            return n2
+            return self._store[..., lo:hi, :]
         m, start, nbr = self._m, self._start, self._nbr
         mid = nbr[start[lo]:start[hi]]  # k of every walk i - k - j, by row
         first = start[mid]
@@ -261,25 +247,20 @@ class _TwoWalks:
         cell += np.repeat(owner, count)
         out = self._out[:(hi - lo) * m].reshape(hi - lo, m)
         np.copyto(out.reshape(-1), np.bincount(cell, minlength=out.size))
-        if hi == m:  # every pass ends with the last row
+        if hi == m:  # every pass over the rows ends with the last row
             self._walk = self._iota = self._out = None
         return out
 
 
 def _two_walks(g: Graph | GraphStack) -> _TwoWalks:
-    """The graph's or stack's `_TwoWalks`, built on first use and cached on it.
+    """A new node pass over the graph's or stack's A @ A.
 
-    A graph shares its node pass between every motif summarized from it: the
-    per-node counts for the graph's life, and the store of A @ A until the
-    read that ends at row m releases it. Only a single graph whose squared
-    degrees sum to less than m^3 / _SPARSE_RATIO takes the CSR rows; a stack,
-    whose pass is one batched product, is dense.
+    Only a single graph whose squared degrees sum to less than
+    m^3 / _SPARSE_RATIO takes the CSR rows; a stack, whose pass is one
+    batched product, is dense.
     """
-    if g._two_walks is None:
-        d = g.degrees
-        sparse = d.ndim == 1 and int(d @ d) * _SPARSE_RATIO < g.m ** 3
-        g._two_walks = _TwoWalks(g, sparse)
-    return g._two_walks
+    d = g.degrees
+    return _TwoWalks(g, d.ndim == 1 and int(d @ d) * _SPARSE_RATIO < g.m ** 3)
 
 
 def _reads_two_walks(motif: Motif) -> bool:
@@ -317,15 +298,16 @@ class MomentCensus:
     pair_avgs: np.ndarray | None
 
 
-def moment_census(g: Graph | GraphStack, motif: Motif, want_pairs: bool = False) -> MomentCensus:
+def moment_census(g: Graph | GraphStack, motif: Motif, want_pairs: bool = False,
+                  _walks: _TwoWalks | None = None) -> MomentCensus:
     """Compute u_hat and the per-node (and per-pair) averages together.
 
-    The r = 3 closed forms read the node pass over A @ A, which runs once
-    per graph or stack whatever the motif; their full pair matrix, with
-    `want_pairs`, is `pair_avg_rows` over all rows, which reads and releases
-    the node pass's store. The generic path counts pairs with every subset,
-    so its census always holds them. The closed form is picked by the
-    motif's shape (r, s), whatever its name.
+    The r = 3 closed forms read a node pass over A @ A: `_walks` when given
+    (the summary kernel shares one between its motifs), else one built for
+    this call; their full pair matrix, with `want_pairs`, is `pair_avg_rows`
+    over all the pass's rows. The generic path counts pairs with every
+    subset, so its census always holds them. The closed form is picked by
+    the motif's shape (r, s), whatever its name.
     """
     m = g.m
     if m < motif.r:
@@ -337,7 +319,7 @@ def moment_census(g: Graph | GraphStack, motif: Motif, want_pairs: bool = False)
         u_hat = density(g)
         node_avgs = g.degrees / float(m - 1)
     elif _reads_two_walks(motif):
-        walks = _two_walks(g)
+        walks = _two_walks(g) if _walks is None else _walks
         tri_per_node = walks.tri_per_node
         tri_total = np.add.reduce(tri_per_node, axis=-1) / 3.0
         if shape == (3, 3):  # triangle
@@ -359,7 +341,8 @@ def moment_census(g: Graph | GraphStack, motif: Motif, want_pairs: bool = False)
         node_avgs = node_counts / node_denom
         pair_avgs = pair_counts / comb(m - 2, motif.r - 2)
     if want_pairs and pair_avgs is None:
-        pair_avgs = pair_avg_rows(g, motif, 0, m)
+        rows = walks.counts(0, m) if _reads_two_walks(motif) else None
+        pair_avgs = pair_avg_rows(g, motif, 0, m, rows)
     return MomentCensus(u_hat=u_hat, node_avgs=node_avgs, pair_avgs=pair_avgs)
 
 
@@ -368,7 +351,7 @@ def pair_avg_rows(g: Graph | GraphStack, motif: Motif, lo: int, hi: int,
     """Rows lo:hi of the pair-restricted averages, diagonal zeroed.
 
     The r = 3 closed forms read rows lo:hi of A @ A from `_rows` when given
-    (so that several motifs share them), else from the node pass.
+    (so that several motifs share them), else from a node pass of their own.
     """
     pair_denom = comb(g.m - 2, motif.r - 2)
     shape = (motif.r, motif.s)

@@ -180,6 +180,13 @@ def _meta(kind: str, cfg, **extra) -> dict:
             **extra, "versions": _versions()}
 
 
+def _check_seed_and_c_delta(cfg) -> None:
+    if not 0 <= cfg.seed < 2**64:  # the streams read a seed modulo 2**64
+        raise ValueError(f"config key 'seed' must lie in 0 <= seed < 2**64, got {cfg.seed}")
+    if not (np.isfinite(cfg.c_delta) and cfg.c_delta >= 0.0):
+        raise ValueError(f"config key 'c_delta' must be finite and >= 0, got {cfg.c_delta}")
+
+
 @dataclass(frozen=True)
 class PairConfig:
     """Fields shared by the experiments that compare a graphon pair."""
@@ -192,6 +199,9 @@ class PairConfig:
     n_boot: int = 200
     seed: int = 0
     n_jobs: int | None = None
+
+    def __post_init__(self):
+        _check_seed_and_c_delta(self)
 
 
 def _sample_pair(cfg: PairConfig, m: int, n: int, rng):
@@ -291,10 +301,16 @@ class CdfConfig(PairConfig):
     n_mc_centering: int = 400_000
 
     def __post_init__(self):
+        super().__post_init__()
         if self.reps < 1000:
             raise ValueError("cdf experiment needs reps >= 1000")
         if self.centering not in ("exact", "mc"):
             raise ValueError("centering must be 'exact' or 'mc'")
+        if self.grid_points < 1:
+            raise ValueError(f"cdf config key 'grid_points' must be >= 1, got {self.grid_points}")
+        for key in ("grid_lo", "grid_hi"):
+            if not np.isfinite(getattr(self, key)):
+                raise ValueError(f"cdf config key {key!r} must be finite, got {getattr(self, key)}")
 
 
 def _cdf_chunk(cfg: CdfConfig, m: int, n: int, d_true: float,
@@ -398,6 +414,7 @@ class CoverageConfig(PairConfig):
     n_mc_centering: int = 400_000
 
     def __post_init__(self):
+        super().__post_init__()
         if self.reps < 1:
             raise ValueError("coverage experiment needs reps >= 1")
         if not 0.0 < self.level < 1.0:
@@ -533,6 +550,7 @@ class QueryBenchConfig:
     n_jobs: int | None = None
 
     def __post_init__(self):
+        _check_seed_and_c_delta(self)
         if self.null_pairs < 0:
             raise ValueError("null_pairs must be >= 0")
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -128,6 +129,24 @@ def test_env_seed_fallback(capsys, two_files, monkeypatch):
     code, _, err = run_cli(capsys, "test", "--a", a, "--b", b, "--motif", "triangle")
     assert code == 2
     assert json.loads(err.splitlines()[-1])["kind"] == "usage"
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_a_seed_out_of_range_is_a_usage_error(capsys, two_files, monkeypatch, seed):
+    # the streams read a seed modulo 2^64, so -1 would replay 2^64 - 1 under
+    # another name
+    a, b = two_files
+    args = ("test", "--a", a, "--b", b, "--motif", "triangle")
+    monkeypatch.delenv("NETMOMENT_SEED", raising=False)
+    for source, argv in (("--seed", ["--seed", seed]), ("NETMOMENT_SEED", [])):
+        if not argv:
+            monkeypatch.setenv("NETMOMENT_SEED", seed)
+        code, out, err = run_cli(capsys, *args, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err.splitlines()[-1]) == {
+            "error": f"{source} must lie in 0 <= seed < 2**64, got {seed}", "kind": "usage"}
+    code, out, _ = run_cli(capsys, *args, "--seed", str(2**64 - 1))
+    assert code == 0 and json.loads(out)["seed"] == 2**64 - 1
 
 
 def test_usage_error_exit_2(capsys):
@@ -297,6 +316,24 @@ def test_simulate_refuses_a_config_value_of_the_wrong_type(capsys, monkeypatch, 
         assert "[1, 2]" in error["error"]
 
 
+@pytest.mark.parametrize("edit", [
+    {"seed": -1}, {"grid_points": 0}, {"grid_lo": -math.inf}, {"grid_hi": math.inf},
+    {"c_delta": math.nan},
+], ids=lambda edit: "{}={}".format(*next(iter(edit.items()))))
+def test_simulate_cdf_refuses_a_config_value_out_of_range(capsys, monkeypatch, tmp_path,
+                                                         edit):
+    # -1 would replay seed 2^64 - 1, no grid point gives numpy's message,
+    # an infinite grid prints Infinity into JSON, and a nan c_delta makes
+    # every t-value nan
+    payload = {"sizes": [[20, 20]], "reps": 1000, "seed": 1, "n_jobs": 1, **edit}
+    code, out, err = run_simulate(capsys, monkeypatch, tmp_path, "cdf", payload)
+    assert code == 1 and out == ""
+    error = json.loads(err.splitlines()[-1])
+    (key, value), = edit.items()
+    assert error["kind"] == "data"
+    assert f"config key {key!r}" in error["error"] and error["error"].endswith(f"got {value}")
+
+
 @pytest.mark.filterwarnings("ignore:rho=1 clamps:RuntimeWarning")
 @pytest.mark.parametrize("edit", [
     {"rho_a": 1},
@@ -351,10 +388,10 @@ def test_query_never_touches_adjacency_after_hashing(capsys, tmp_path, two_files
             raise AssertionError("summary kernel called after hashing finished")
         return real_summaries(g, motifs, network_ids)
 
-    def traced_census(g, motif, want_pairs=False):
+    def traced_census(g, motif, want_pairs=False, **kwargs):
         if state["hashing_done"]:
             raise AssertionError("adjacency census touched during query")
-        return real_census(g, motif, want_pairs=want_pairs)
+        return real_census(g, motif, want_pairs=want_pairs, **kwargs)
 
     real_hash_network = hashdb.hash_network
 

@@ -143,6 +143,20 @@ def test_config_from_dict_validation():
         config_from_dict("query-bench", {"null_pairs": -1})
 
 
+@pytest.mark.parametrize("cls", [CdfConfig, CoverageConfig, QueryBenchConfig,
+                                 BootstrapRunConfig])
+@pytest.mark.parametrize("edit", [{"seed": -1}, {"seed": 2**64}, {"c_delta": float("nan")},
+                                  {"c_delta": float("inf")}, {"c_delta": -0.5}],
+                         ids=["seed=-1", "seed=2^64", "c_delta=nan", "c_delta=inf",
+                              "c_delta=-0.5"])
+def test_every_config_refuses_a_seed_or_c_delta_out_of_range(cls, edit):
+    # the streams read a seed modulo 2^64, so -1 would replay 2^64 - 1
+    (key, value), = edit.items()
+    with pytest.raises(ValueError, match=f"config key '{key}' .* got {value}$"):
+        cls(**edit)
+    assert cls(seed=2**64 - 1, c_delta=0.0).seed == 2**64 - 1
+
+
 def test_default_config_fields_pinned():
     # meta.config carries these dicts, so their keys and defaults are output
     pair = {"graphon_a": "SmoothGraphon-2", "graphon_b": "SmoothGraphon-4",

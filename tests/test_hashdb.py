@@ -27,6 +27,7 @@ from netmoment.sim.graphons import builtin_graphon, sample_network
 from conftest import random_graph
 from oracles import frozen_summary
 from test_inference import synthetic_summary
+from test_motif import captured_passes, holds_a_pass
 
 
 def test_hash_p3_edge(p3):
@@ -37,35 +38,31 @@ def test_hash_p3_edge(p3):
 
 
 def assert_one_node_pass(rho, monkeypatch):
-    """hash_network runs the node pass once and builds each leaf's rows of
-    A @ A once for all its motifs. m * m > 2^16, so the summaries' walk has
-    two leaves and each reads its own rows."""
+    """hash_network runs the node pass once, builds each leaf's rows of
+    A @ A once for all its motifs, and frees the pass on return. m * m >
+    2^16, so the summaries' walk has two leaves and each reads its own rows."""
     m = 300
     adj = random_graph(m, rho, spawn_rng(4, "node-pass")).adj
     leaves = []
     edgeworth._pairwise_sum(0, m * m, lambda a, b: leaves.append((a // m, -(-b // m))) or 0.0)
     assert len(leaves) == 2
+    passes = captured_passes(monkeypatch)
     calls = []
-    init, counts = nm_motif._TwoWalks.__init__, nm_motif._TwoWalks.counts
-
-    def counted_init(self, g, sparse):
-        calls.append("node pass")
-        init(self, g, sparse)
+    counts = nm_motif._TwoWalks.counts
 
     def counted_counts(self, lo, hi):
         calls.append((lo, hi))
         return counts(self, lo, hi)
 
-    monkeypatch.setattr(nm_motif._TwoWalks, "__init__", counted_init)
     monkeypatch.setattr(nm_motif._TwoWalks, "counts", counted_counts)
     g = nm.Graph(adj)
     nm.hash_network(g, [nm.TRIANGLE, nm.EDGE, nm.VSHAPE], "x")
-    sparse = g._two_walks._sparse
+    (walks, sparse), = passes
     assert sparse == (rho < 0.03)
-    step = nm_motif._BLOCK // m
-    blocks = [(lo, min(lo + step, m)) for lo in range(0, m, step)] if sparse else []
-    assert calls == ["node pass", *blocks, *leaves]
-    assert g._two_walks._store is None  # the leaf walk ended at row m
+    step = (nm_motif._BLOCK if sparse else nm_motif._HALF_BLOCK) // m
+    blocks = [(lo, min(lo + step, m)) for lo in range(0, m, step)]
+    assert calls == [*blocks, *leaves]  # the node pass's blocks, then the leaves
+    assert walks() is None and not holds_a_pass(g)
 
 
 def test_hash_network_runs_the_node_pass_once(monkeypatch):
@@ -657,6 +654,18 @@ def test_built_store_refuses_another_schema_version():
     with pytest.raises(DbFormatError) as got:
         HashDb({"ok": bad})
     assert str(got.value) == str(want.value) == "unsupported schema_version 2"
+
+
+def test_built_store_refuses_a_record_with_no_summaries(tmp_path):
+    # an empty record has no row in any motif's entries, yet counted in len
+    bad = HashRecord("x", 10, "", {})
+    with pytest.raises(DbFormatError) as want:
+        bad.validate()
+    with pytest.raises(DbFormatError) as got:
+        HashDb({"x": bad})
+    assert str(got.value) == str(want.value) == "record 'x' has no summaries"
+    with pytest.raises(DbFormatError):
+        nm.db_append(tmp_path / "db.ndjson", bad)
 
 
 @pytest.mark.parametrize("change", ["clear", "extend"])

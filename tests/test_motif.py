@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -201,16 +203,16 @@ def test_two_walk_rows_are_exact(m, sparse, monkeypatch):
     want = adj.astype(np.int64) @ adj
     ranges = [(0, m), (m - 1, m)] + [
         tuple(sorted(rng.choice(m + 1, size=2, replace=False))) for _ in range(5)]
-    cached = nm_motif._TwoWalks(g, sparse)
+    one_block = nm_motif._TwoWalks(g, sparse)
     # one row per block: no one-block CSR store, a half product of m blocks
     monkeypatch.setattr(nm_motif, "_BLOCK", 1)
     monkeypatch.setattr(nm_motif, "_HALF_BLOCK", 1)
-    for walks in (cached, nm_motif._TwoWalks(g, sparse)):
+    for walks in (one_block, nm_motif._TwoWalks(g, sparse)):
         assert np.array_equal(walks.tri_per_node * 2, (want * adj).sum(axis=1))
         assert np.array_equal(walks.cherry_ends, adj @ (g.degrees - 1))
         for lo, hi in ranges:
-            rows = walks.rows(lo, hi)
-            assert rows.dtype == np.float64
+            rows = walks.counts(lo, hi)
+            assert rows.dtype == (np.float64 if sparse else np.float32)
             assert np.array_equal(rows, want[lo:hi])
 
 
@@ -218,7 +220,7 @@ def test_two_walk_rows_are_exact(m, sparse, monkeypatch):
 @pytest.mark.parametrize("m", [700, 701])
 def test_half_product_store_holds_exact_counts(m, half_block, monkeypatch):
     # 2 blocks (374 and 373 rows at m = 700 and 701), or 140 of 5 rows; the
-    # store is read as the summaries' leaf walk reads it, then released
+    # store is read as the summaries' leaf walk reads it
     if half_block is not None:
         monkeypatch.setattr(nm_motif, "_HALF_BLOCK", half_block)
     rng = spawn_rng(m, "half-product")
@@ -236,13 +238,14 @@ def test_half_product_store_holds_exact_counts(m, half_block, monkeypatch):
     edgeworth._pairwise_sum(0, m * m, lambda a, b: leaves.append((a // m, -(-b // m))) or 0.0)
     assert len(leaves) > 4 and leaves[-1][1] == m
     for lo, hi in leaves:
-        assert walks._store is not None
         counts = walks.counts(lo, hi)
         assert counts.dtype == np.float32
         assert np.array_equal(counts, want[lo:hi])
-    assert walks._store is None  # released by the read that ended at row m
-    rows = walks.rows(3, 11)  # built again on demand
-    assert rows.dtype == np.float64 and np.array_equal(rows, want[3:11])
+
+
+def holds_a_pass(obj) -> bool:
+    """Whether any attribute of a Graph or GraphStack holds a node pass."""
+    return any(isinstance(x, nm_motif._TwoWalks) for x in gc.get_referents(obj))
 
 
 @pytest.mark.parametrize("b", [1, 3, 40])
@@ -256,28 +259,36 @@ def test_stacked_node_pass_matches_each_members_own(m, b, monkeypatch):
     assert any(csr_alone) == (b > 1) and not all(csr_alone)
     ranges = [(0, m), (m - 1, m)] + [
         tuple(sorted(rng.choice(m + 1, size=2, replace=False))) for _ in range(3)]
-    cached = nm_motif._two_walks(GraphStack(graphs))
+    stack = GraphStack(graphs)
+    one_block = nm_motif._two_walks(stack)
     # one row per block of the members' CSR rows and of the half products
     monkeypatch.setattr(nm_motif, "_BLOCK", 1)
     monkeypatch.setattr(nm_motif, "_HALF_BLOCK", 1)
-    blocked = nm_motif._TwoWalks(GraphStack(graphs), sparse=False)
+    blocked = nm_motif._TwoWalks(stack, sparse=False)
     for k, g in enumerate(graphs):
         for own in (nm_motif._TwoWalks(g, sparse=True), nm_motif._TwoWalks(g, sparse=False)):
-            for walks in (cached, blocked):
+            for walks in (one_block, blocked):
                 assert np.array_equal(walks.tri_per_node[k], own.tri_per_node)
                 assert np.array_equal(walks.cherry_ends[k], own.cherry_ends)
                 for lo, hi in ranges:
-                    rows = walks.rows(lo, hi)
-                    assert rows.dtype == np.float64
-                    assert np.array_equal(rows[k], own.rows(lo, hi))
-        assert g._two_walks is None  # the stack's pass is its own
+                    rows = walks.counts(lo, hi)
+                    assert rows.dtype == np.float32
+                    assert np.array_equal(rows[k], own.counts(lo, hi))
+        assert not holds_a_pass(g)  # the stack's pass is its own
+    assert not holds_a_pass(stack)
 
 
-def largest_held(walks) -> int:
-    """Cells of the largest array a node pass holds, its graph's own
-    adjacency aside."""
-    return max(x.size for x in vars(walks).values()
-               if isinstance(x, np.ndarray) and x is not walks._adj)
+def captured_passes(monkeypatch) -> list:
+    """(weakref, sparse) of every `_TwoWalks` built from here on."""
+    passes = []
+    init = nm_motif._TwoWalks.__init__
+
+    def captured(self, g, sparse):
+        passes.append((weakref.ref(self), sparse))
+        init(self, g, sparse)
+
+    monkeypatch.setattr(nm_motif._TwoWalks, "__init__", captured)
+    return passes
 
 
 def counted_half_products(monkeypatch) -> list:
@@ -295,29 +306,42 @@ def counted_half_products(monkeypatch) -> list:
 
 @pytest.mark.parametrize("rho", [0.03, 0.25])
 @pytest.mark.parametrize("m", [60, 256])
-def test_node_pass_holds_no_product_after_a_call(m, rho, monkeypatch):
-    # graphs of one leaf: the leaf's read of row m releases the store, a
-    # dense graph's half product or a CSR graph's one block, and the leaf
-    # reads the store the node pass left, so the product is built once
+def test_node_pass_is_freed_after_a_call(m, rho, monkeypatch):
+    # graphs of one leaf: the leaf reads the store the node pass left, a
+    # dense graph's half product or a CSR graph's one block, so the product
+    # is built once
     builds = counted_half_products(monkeypatch)
+    passes = captured_passes(monkeypatch)
     g = random_graph(m, rho, spawn_rng(m, "node-pass-holds", str(rho)))
     record = nm.hash_network(g, [nm.TRIANGLE, nm.VSHAPE], "x")
     assert sorted(record.summaries) == ["triangle", "vshape"]
-    walks = g._two_walks
-    assert walks._sparse == (rho < 0.1)
-    assert builds == ([] if walks._sparse else [(m, m)])
-    assert walks._store is None and largest_held(walks) < m * m  # CSR keeps its edges
+    (walks, sparse), = passes
+    assert sparse == (rho < 0.1)
+    assert builds == ([] if sparse else [(m, m)])
+    assert walks() is None and not holds_a_pass(g)
 
 
-def test_stack_pass_holds_no_product_after_a_call(monkeypatch):
+def test_stack_pass_is_freed_after_a_call(monkeypatch):
     builds = counted_half_products(monkeypatch)
+    passes = captured_passes(monkeypatch)
     stack = GraphStack([random_graph(40, 0.25, spawn_rng(k, "node-pass-holds"))
                         for k in range(edgeworth._group_size(40))])
     got = edgeworth.summarize_many(stack, [nm.TRIANGLE, nm.VSHAPE])
     assert not any(isinstance(s, Exception) for summaries in got for s in summaries)
     assert builds == [stack.adj.shape]  # one batched product for both motifs
-    assert stack._two_walks._store is None
-    assert largest_held(stack._two_walks) < stack.adj.size
+    (walks, sparse), = passes
+    assert not sparse and walks() is None
+    assert not holds_a_pass(stack)
+
+
+@pytest.mark.parametrize("rho", [0.03, 0.25])
+def test_a_public_census_frees_its_own_pass(rho, monkeypatch):
+    passes = captured_passes(monkeypatch)
+    g = random_graph(200, rho, spawn_rng(200, "public-census", str(rho)))
+    assert 0.0 < nm.moment_u(g, nm.TRIANGLE) < 1.0
+    (walks, sparse), = passes
+    assert sparse == (rho < 0.1)
+    assert walks() is None and not holds_a_pass(g)
 
 
 @settings(max_examples=30, deadline=None)
