@@ -251,12 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"netmoment {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_cdelta=True):
+    def common(p, with_cdelta=True, reads_edges=True):
         p.add_argument("--seed", type=int, default=None,
                        help="master seed (fallback: NETMOMENT_SEED, else generated)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--indexing", choices=("zero-based", "one-based"),
-                       default="zero-based")
+        if reads_edges:
+            p.add_argument("--indexing", choices=("zero-based", "one-based"),
+                           default="zero-based")
         p.add_argument("--threads", type=int, default=None,
                        help="worker processes for `simulate` (default: cores); "
                             "the other commands accept and ignore it")
@@ -301,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("cdf", "coverage", "query-bench", "bootstrap"))
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="also write CSV + JSON sidecar here")
-    common(p, with_cdelta=False)
+    common(p, with_cdelta=False, reads_edges=False)
     p.set_defaults(func=_cmd_simulate)
     return parser
 

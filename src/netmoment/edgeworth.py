@@ -363,7 +363,9 @@ def _summaries(g: Graph | GraphStack, motifs: list[Motif], network_ids: list) ->
     all the motifs as one small array, element by element, so each motif's
     sum has the bits it has alone. A stack carries its scalars as (B, 1, 1)
     columns and its per-node values as (B, 1, m) rows, so each formula
-    broadcasts over the stack as written for one graph.
+    broadcasts over the stack as written for one graph. An exception is
+    returned without its traceback (`_frameless`), so it keeps none of the
+    kernel's frames, and through them the node pass, alive.
     """
     results = [None] * len(motifs)
     reads = any(_reads_two_walks(motif) and g.m > motif.r for motif in motifs)
@@ -373,7 +375,7 @@ def _summaries(g: Graph | GraphStack, motifs: list[Motif], network_ids: list) ->
         try:
             terms[k] = _MotifTerms(g, motif, walks)
         except (ValueError, ArithmeticError) as exc:
-            results[k] = exc
+            results[k] = _frameless(exc)
     if not terms:
         return results
     m = g.m
@@ -394,7 +396,7 @@ def _summaries(g: Graph | GraphStack, motifs: list[Motif], network_ids: list) ->
             try:
                 leaf[k] = t.leaf_sum(lo, hi, cells, grm2, rows)
             except DegenerateGraphError as exc:
-                results[k] = exc
+                results[k] = _frameless(exc)
                 del terms[k]
         return leaf
 
@@ -403,8 +405,21 @@ def _summaries(g: Graph | GraphStack, motifs: list[Motif], network_ids: list) ->
         try:
             results[k] = t.summaries(pair_sums[k], network_ids)
         except (ValueError, ArithmeticError) as exc:
-            results[k] = exc
+            results[k] = _frameless(exc)
     return results
+
+
+def _frameless(exc: BaseException) -> BaseException:
+    """exc with the tracebacks of it and of its cause and context chain
+    cleared."""
+    todo, seen = [exc], set()
+    while todo:
+        err = todo.pop()
+        if err is not None and id(err) not in seen:
+            seen.add(id(err))
+            err.__traceback__ = None
+            todo += (err.__cause__, err.__context__)
+    return exc
 
 
 class _MotifTerms:

@@ -9,11 +9,11 @@ simply do not hold adjacency). Entries whose p-value clears the screening
 level are the candidate matches.
 
 A store in memory (`HashDb`) is its columns: each motif's entries as
-float64 columns sorted by id (`storecols`), from which its records are
-built on first read, however the store was made. A query scores the whole
-store in one pass over them: `rng.spawn_normals` gives every entry the
-smoothing draw of its own (seed, "query-delta", id) stream, by numpy's
-seeding arithmetic over all ids and one reused PCG64, and
+float64 columns sorted by id (`Entries`), from which its records are built
+on first read, however the store was made. A query scores the whole store
+in one pass over them: `rng.spawn_normals` gives every entry the smoothing
+draw of its own (seed, "query-delta", id) stream, by numpy's seeding
+arithmetic over all ids and one reused PCG64, and
 `inference.two_sample_p_values` runs the pair formulas once over the
 columns. Each p-value has the bits that `two_sample_test` gives the pair
 alone.
@@ -23,21 +23,25 @@ serialized by shortest-roundtrip repr so the decimal text recovers the exact
 double. schema_version gates format evolution. A record is written through
 one fixed template, built from SUMMARY_FIELDS, that gives the bytes of
 `json.dumps` with sorted keys and no spaces, and appended with one `write`
-on a descriptor opened O_APPEND. `storecols` loads a store straight into
-its columns.
+on a descriptor opened O_APPEND. `db_load` reads a store straight into its
+columns (`Rows`).
 """
 
 from __future__ import annotations
 
 import datetime as _dt
+import fcntl
 import functools
 import gc
+import itertools
 import json
 import logging
 import operator
 import os
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -100,12 +104,34 @@ class QueryHit:
     passed_screen: bool
 
 
+class Entries(SimpleNamespace):
+    """One motif's entries of a store, in id order, as columns: `ids`; each
+    SUMMARY_FIELDS as float64; n, motif_r and motif_s as int64 (object
+    where a value has no int64); motif_name, the motif's name; and `row`,
+    each entry's place in the store's records. It reads as a NetworkSummary
+    whose fields are columns, which is how `two_sample_p_values` takes
+    it."""
+
+    def summary(self, k: int) -> NetworkSummary:
+        """Entry k as a NetworkSummary, with the bits of its columns."""
+        return NetworkSummary(self.ids[k], int(self.n[k]), self.motif_name,
+                              int(self.motif_r[k]), int(self.motif_s[k]),
+                              *(float(getattr(self, f)[k]) for f in SUMMARY_FIELDS))
+
+
+def _ints(values) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
 class HashDb:
     """A store in memory, which is its columns: each record's id, n and
     created_at, in records order (`ids`, `ns`, `created_ats`), the motif
     names of a row not in name order (`orders`), and each motif's entries,
-    sorted by id, as `storecols.Entries` (`entries`). `records` are built
-    from the columns on first read, however the store was made.
+    sorted by id, as `Entries` (`entries`). `records` are built from the
+    columns on first read, however the store was made.
 
     HashDb(records) keeps no reference to the dict. It refuses, with
     DbFormatError, a record not filed under its network_id, of another
@@ -115,8 +141,6 @@ class HashDb:
 
     def __init__(self, records: dict[str, HashRecord] | None = None, _columns=None):
         if _columns is None:
-            from .storecols import Rows, _decoded_record
-
             rows = Rows(None)
             for key, rec in records.items():
                 if key != rec.network_id:
@@ -298,6 +322,132 @@ def record_from_json(line: str) -> HashRecord:
     return record
 
 
+# A line as record_to_json writes it: decoded by one call, then checked
+# against the stored types in one pass.
+_raw_decode = json.JSONDecoder().raw_decode
+_summary_floats = operator.itemgetter(*SUMMARY_FIELDS)
+_floats_of = operator.attrgetter(*SUMMARY_FIELDS)
+_FLOATS = (float,) * len(SUMMARY_FIELDS)
+_NOT_AS_WRITTEN = (LookupError, TypeError, ValueError, AttributeError)
+
+
+def _decoded(line: str):
+    """(network_id, n, created_at, [(motif name, r, s, SUMMARY_FIELDS values)])
+    of a whole, ASCII line whose every value has its stored type and whose
+    schema_version is 1, motif names unique; else None."""
+    try:
+        payload, end = _raw_decode(line)
+        network_id, n, version = payload["network_id"], payload["n"], payload["schema_version"]
+        created_at, summaries = payload.get("created_at", ""), payload["summaries"]
+        decoded = []
+        for s in summaries:
+            motif = s["motif"]
+            name, r, k, values = motif["name"], motif["r"], motif["s"], _summary_floats(s)
+            if (type(name) is not str or type(r) is not int or type(k) is not int
+                    or tuple(map(type, values)) != _FLOATS):
+                return None
+            decoded.append((name, r, k, values))
+    except _NOT_AS_WRITTEN:
+        return None
+    if (end == len(line) - 1 and line[end] == "\n" and line.isascii()
+            and type(network_id) is str and type(n) is int and type(version) is int
+            and version == SCHEMA_VERSION and type(created_at) is str and type(summaries) is list
+            and decoded and (len(decoded) == 1 or len({s[0] for s in decoded}) == len(decoded))):
+        return network_id, n, created_at, decoded
+    return None
+
+
+def _decoded_record(rec: HashRecord) -> tuple:
+    """A record as `_decoded` gives a line."""
+    return (rec.network_id, rec.n, rec.created_at,
+            [(name, s.motif_r, s.motif_s, _floats_of(s)) for name, s in rec.summaries.items()])
+
+
+class Rows:
+    """A store's lines as `db_load` reads them, one row per record: each row's
+    identity, and per motif the row, r, s and SUMMARY_FIELDS values of
+    every summary, in line order."""
+
+    def __init__(self, path):
+        self.path = path
+        self.ids, self.ns, self.created_ats, self.linenos = [], [], [], []
+        self.latest: dict[str, int] = {}  # id: its last row, at its first row's place
+        self.motifs: dict[str, tuple] = {}
+        self.orders: dict[int, list] = {}  # row: its motif names, where not sorted
+
+    def add(self, lineno: int, network_id: str, n: int, created_at: str, summaries) -> None:
+        row = len(self.ids)
+        self.ids.append(network_id)
+        self.ns.append(n)
+        self.created_ats.append(created_at)
+        self.linenos.append(lineno)
+        if network_id in self.latest:
+            logger.warning("%s: duplicate network_id %r at line %d, keeping latest",
+                           self.path, network_id, lineno)
+        self.latest[network_id] = row
+        if len(summaries) > 1:
+            names = [summary[0] for summary in summaries]
+            if names != sorted(names):
+                self.orders[row] = names
+        for name, r, s, values in summaries:
+            rows, rs, ss, table = self.motifs.get(name) or self.motifs.setdefault(
+                name, ([], [], [], array("d")))
+            rows.append(row)
+            rs.append(r)
+            ss.append(s)
+            table.extend(values)
+
+    def arrays(self) -> tuple:
+        """(n per row, {motif: (rows, r, s, (k, 9) values)}) as arrays."""
+        return _ints(self.ns), {
+            name: (np.array(rows, dtype=np.intp), _ints(r), _ints(s),
+                   np.frombuffer(table).reshape(-1, len(SUMMARY_FIELDS)))
+            for name, (rows, r, s, table) in self.motifs.items()}
+
+    def check(self, n, motifs) -> None:
+        """Raise the DbFormatError of the first line whose summary fails
+        `NetworkSummary.validate`'s checks, applied to whole columns."""
+        bad = len(self.ids)
+        for rows, r, s, table in motifs.values():
+            v = dict(zip(SUMMARY_FIELDS, table.T))
+            with np.errstate(invalid="ignore"):
+                ok = ((0.0 < v["rho_hat"]) & (v["rho_hat"] < 1.0) & (0.0 <= v["u_hat"])
+                      & (v["u_hat"] <= 1.0) & (v["xi_alpha1_sq"] >= 0.0) & (v["xi_g1_sq"] >= 0.0)
+                      & (n[rows] > r) & np.isfinite(table).all(axis=1))
+            if not ok.all():
+                bad = min(bad, int(rows[np.argmin(ok)]))
+        if bad < len(self.ids):
+            lineno = self.linenos[bad]
+            with open(self.path, encoding="utf-8", errors="surrogateescape") as fh:
+                line = next(itertools.islice(fh, lineno - 1, None))
+            try:
+                record_from_json(line)
+            except DbFormatError as exc:
+                raise DbFormatError(f"{self.path}: line {lineno}: {exc}") from exc
+            raise DbFormatError(f"{self.path}: line {lineno}: changed while loading")
+
+    def columns(self, n, motifs) -> tuple:
+        """The `HashDb` columns (ids, ns, created_ats, orders, entries) of
+        the rows' `arrays`, each id's latest row in its first row's place."""
+        latest = np.fromiter(self.latest.values(), np.intp, len(self.latest))
+        place = np.full(len(self.ids), -1)
+        place[latest] = np.arange(len(latest))
+        entries = {}
+        for name, (rows, r, s, table) in motifs.items():
+            kept = np.flatnonzero(place[rows] >= 0).tolist()
+            if not kept:
+                continue
+            ids, kept = zip(*sorted(zip([self.ids[i] for i in rows[kept].tolist()], kept)))
+            kept = np.array(kept, dtype=np.intp)
+            entries[name] = Entries(
+                ids=list(ids), row=place[rows[kept]], n=n[rows[kept]], motif_name=name,
+                motif_r=r[kept], motif_s=s[kept],
+                **dict(zip(SUMMARY_FIELDS, np.ascontiguousarray(table[kept].T))))
+        orders = {int(place[row]): names for row, names in self.orders.items() if place[row] >= 0}
+        return (*([column[i] for i in latest.tolist()]
+                  for column in (self.ids, self.ns, self.created_ats)), orders, entries)
+
+
 def _tail_prefix(fd: int, path, end: int) -> bytes:
     """Mend a store whose last byte is not a newline: the end of an append
     cut short. Returns b"\n" if the last line is still a whole record (only
@@ -320,16 +470,20 @@ def db_append(path, record: HashRecord) -> None:
     """Append one record to the NDJSON store, line and newline in one write.
 
     The system calls are one `open` (O_APPEND, creating the store), one
-    `lseek` to find its end, one `pread` of its last byte, one `write` and
-    one `close`. A store that does not end in a newline ends in an append
-    cut short. If its last line is still a whole record (only the newline
-    was lost), the newline is restored; otherwise the fragment is cut off.
-    Either way a warning is logged and the new record gets its own line.
+    `flock` (LOCK_EX, held until the `close`), one `lseek` to find its end,
+    one `pread` of its last byte, one `write` and one `close`. The lock makes
+    concurrent appenders take turns, so one that mends a torn tail never
+    cuts off another's record. A store that does not end in a newline ends
+    in an append cut short. If its last line is still a whole record (only
+    the newline was lost), the newline is restored; otherwise the fragment
+    is cut off. Either way a warning is logged and the new record gets its
+    own line.
     """
     record.validate()
     line = (record_to_json(record) + "\n").encode("utf-8")
     fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
     try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
         end = os.lseek(fd, 0, os.SEEK_END)
         if end and os.pread(fd, 1, end - 1) != b"\n":
             line = _tail_prefix(fd, path, end) + line
@@ -371,15 +525,41 @@ def db_load(path) -> HashDb:
     A bad line raises DbFormatError, except a final line without its newline:
     that is an append cut short, so it is skipped with a warning. A byte that
     is not UTF-8 makes its line bad in the same way. A line raises for a
-    value out of its range before any later line raises. The store holds
-    each motif's entries as columns and builds its records on demand (see
-    `storecols`).
-    """
-    # imported here: a process that only hashes and appends never compiles
-    # the loader, which matters where bytecode is not cached
-    from .storecols import load
+    value out of its range before any later line raises.
 
-    return load(path)
+    Each line is decoded by one `json` call. A line whose every value has
+    the type `record_to_json` writes goes straight into its motifs' columns
+    (`Rows`), with no `NetworkSummary` or `HashRecord` built; after the last
+    line the ranges that `NetworkSummary.validate` checks are checked over
+    whole columns. Any other line, and the first line that the column check
+    refuses, goes through `record_from_json`, so every error keeps its
+    message and line number. The store holds each motif's entries as
+    columns (`Entries`) and builds its records on first read.
+    """
+    rows = Rows(path)
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh, _gc_paused():
+        for lineno, line in enumerate(fh, start=1):
+            record = _decoded(line)
+            if record is None:
+                if not line.strip():
+                    continue
+                try:
+                    if not line.isascii():
+                        _check_utf8(line)
+                    rec = record_from_json(line)
+                except DbFormatError as exc:
+                    rows.check(*rows.arrays())  # an earlier line out of range raises first
+                    # only the last line of a file can lack its newline
+                    if not line.endswith("\n"):
+                        logger.warning("%s: line %d: skipping torn final record: %s",
+                                       path, lineno, exc)
+                        break
+                    raise DbFormatError(f"{path}: line {lineno}: {exc}") from exc
+                record = _decoded_record(rec)
+            rows.add(lineno, *record)
+        arrays = rows.arrays()
+        rows.check(*arrays)
+        return HashDb(_columns=rows.columns(*arrays))
 
 
 def query(

@@ -151,7 +151,7 @@ def two_sample_p_values(
     `sb` holds the entries as columns, the shape of a NetworkSummary whose
     fields are arrays: each SUMMARY_FIELDS as float64, n, motif_r and
     motif_s as integer arrays, and motif_name a str (a store's
-    `storecols.Entries`). `normals[k]` is the standard normal that entry k's
+    `hashdb.Entries`). `normals[k]` is the standard normal that entry k's
     smoothing draw scales (unused when c_delta is 0). The pair formulas run
     once over the columns. Returns (p-values, ok): where ok is False the
     test of that pair raises, or may (a level outside (0, 1), a motif

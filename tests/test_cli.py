@@ -156,6 +156,17 @@ def test_usage_error_exit_2(capsys):
     assert code == 2
 
 
+def test_simulate_takes_no_indexing(capsys, tmp_path):
+    # simulate reads no edge list, so it has no --indexing to honour
+    config = tmp_path / "cdf.json"
+    config.write_text("{}")
+    code, out, err = run_cli(capsys, "simulate", "cdf", "--config", str(config),
+                             "--indexing", "one-based")
+    assert code == 2 and out == ""
+    payload = json.loads(err.splitlines()[-1])
+    assert payload["kind"] == "usage" and "--indexing" in payload["error"]
+
+
 @pytest.mark.parametrize("argv", [
     ("test", "--motif", "triangle", "--alpha", "1.5"),
     ("test", "--motif", "triangle", "--alpha", "0"),
@@ -422,9 +433,8 @@ HASH_CSV = "netmoment.cli; assert netmoment.cli.main(sys.argv[1:]) == 0"
     "module", ["netmoment", "netmoment.cli", pytest.param(HASH_CSV, id="hash-csv")],
 )
 def test_import_leaves_scipy_and_harness_unloaded(module, tmp_path):
-    # only `ci` and `simulate` need scipy, only `simulate` needs the harness,
-    # and only a load or a query needs the store's columns (`storecols`); the
-    # hash-csv case also runs `hash --format csv`
+    # only `ci` and `simulate` need scipy, and only `simulate` needs the
+    # harness; the hash-csv case also runs `hash --format csv`
     edges = tmp_path / "edges.txt"
     nm.save_edge_list(random_graph(12, 0.5, spawn_rng(3, "csv-import")), edges)
     argv = ["hash", "--input", str(edges), "--motifs", "triangle", "--id", "a",
@@ -432,8 +442,7 @@ def test_import_leaves_scipy_and_harness_unloaded(module, tmp_path):
     src = str(Path(nm.__file__).resolve().parent.parent)
     code = (f"import sys, {module}; "
             "print([m for m in ('scipy.special', 'scipy.stats', 'scipy.sparse', "
-            "'netmoment.sim.experiments', 'concurrent.futures.process', "
-            "'netmoment.storecols') "
+            "'netmoment.sim.experiments', 'concurrent.futures.process') "
             "if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import logging
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -260,6 +262,34 @@ def test_db_append_keeps_a_whole_record_that_lost_its_newline(tmp_path, caplog):
     assert sorted(db.records) == ["n0", "n1", "n2", "n3"]
     assert db.records["n2"] == records[2]
     assert path.read_bytes().endswith(b"\n")
+
+
+def test_concurrent_appends_past_a_torn_tail_keep_every_record(tmp_path, monkeypatch):
+    # appender B starts while A is cutting a torn tail off: B must wait for
+    # A's whole append, or A's cut (to the length it read) drops B's record
+    path = tmp_path / "db.ndjson"
+    rng = spawn_rng(7, "concurrent-append")
+    r1, a, b = (nm.hash_network(random_graph(15, 0.5, rng), [nm.TRIANGLE], name)
+                for name in ("r1", "A", "B"))
+    nm.db_append(path, r1)
+    path.write_bytes(path.read_bytes() + b'{"network_id":"to')
+    ftruncate = os.ftruncate
+    appenders = []
+
+    def racing_ftruncate(fd, length):
+        if not appenders:
+            appenders.append(threading.Thread(target=nm.db_append, args=(path, b)))
+            appenders[0].start()
+            appenders[0].join(timeout=0.5)
+        ftruncate(fd, length)
+
+    monkeypatch.setattr(os, "ftruncate", racing_ftruncate)
+    nm.db_append(path, a)
+    appenders[0].join(timeout=30)
+    assert not appenders[0].is_alive()
+    db = nm.db_load(path)
+    assert list(db.records) == ["r1", "A", "B"]
+    assert db.records["B"] == b and db.records["A"] == a
 
 
 def test_db_load_bad_schema_version(tmp_path):

@@ -334,6 +334,24 @@ def test_stack_pass_is_freed_after_a_call(monkeypatch):
     assert not holds_a_pass(stack)
 
 
+def test_a_failed_motif_frees_its_pass(monkeypatch):
+    # the returned error holds no frame of the kernel, so the pass goes with
+    # the call, with no cyclic collection
+    passes = captured_passes(monkeypatch)
+    g = nm.Graph(~np.eye(40, dtype=bool))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        (got,), = edgeworth.summarize_many([g], [nm.TRIANGLE])
+        (walks, _), = passes
+        assert walks() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert isinstance(got, nm.DegenerateGraphError)
+    assert str(got) == "degenerate sparsity: complete graph (rho_hat = 1)"
+
+
 @pytest.mark.parametrize("rho", [0.03, 0.25])
 def test_a_public_census_frees_its_own_pass(rho, monkeypatch):
     passes = captured_passes(monkeypatch)
